@@ -35,6 +35,13 @@ def _check_tensor3(x, name: str = "x") -> np.ndarray:
     return arr
 
 
+def _check_fecam_input(x, layer: FecamLayer) -> np.ndarray:
+    x = _check_tensor3(x)
+    if x.shape[2] != layer.seq_len:
+        raise ValueError(f"x length {x.shape[2]} != layer seq_len {layer.seq_len}")
+    return x
+
+
 class FecamLayer:
     """Bottleneck excitation over per-channel cosine spectra.
 
@@ -144,11 +151,11 @@ def frequency_map(x, layer: FecamLayer) -> np.ndarray:
     """Orthonormal cosine spectrum of every channel, stacked to (B, C, L).
 
     Each channel is transformed independently with the layer's cached basis,
-    one matrix-vector product per (batch, channel) row.
+    one matrix-vector product per (batch, channel) row. This is the readable
+    form of the squeeze; fecam_forward and fecam_backward do not call it, they
+    apply the same basis folded into the first excitation weight.
     """
-    x = _check_tensor3(x)
-    if x.shape[2] != layer.seq_len:
-        raise ValueError(f"x length {x.shape[2]} != layer seq_len {layer.seq_len}")
+    x = _check_fecam_input(x, layer)
     out = np.empty_like(x)
     for b in range(x.shape[0]):
         for c in range(x.shape[1]):
@@ -159,27 +166,35 @@ def frequency_map(x, layer: FecamLayer) -> np.ndarray:
 def fecam_forward(x, layer: FecamLayer, cache: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Apply frequency attention; returns (rescaled x, attention map).
 
+    The cosine transform is linear and fixed, so the first excitation layer
+    applied to the spectrum, (x D^T) W1, is computed as x (D^T W1): one
+    matmul over all (batch, channel) rows. The folded weight is rebuilt on
+    every call because optimizers and the gradient checker edit W1 in place.
+
     Attention entries are sigmoid outputs, so the rescale never amplifies:
     |out| <= |x| elementwise. Pass a dict as `cache` to retain the
     activations fecam_backward needs.
     """
-    x = _check_tensor3(x)
-    freq = frequency_map(x, layer)
-    z1 = dense_forward(layer.excite1, freq)
+    x = _check_fecam_input(x, layer)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x contains non-finite values")
+    folded = layer.dct.T @ layer.excite1.weight
+    rows = x.reshape(-1, layer.seq_len)
+    z1 = rows @ folded + layer.excite1.bias
     h1 = relu_forward(z1)
-    z2 = dense_forward(layer.excite2, h1)
-    att = sigmoid_forward(z2)
+    att = sigmoid_forward(h1 @ layer.excite2.weight + layer.excite2.bias).reshape(x.shape)
     out = x * att
     if cache is not None:
-        cache.update(x=x, freq=freq, z1=z1, h1=h1, att=att)
+        cache.update(x=x, folded=folded, z1=z1, h1=h1, att=att)
     return out, att
 
 
 def fecam_backward(upstream, layer: FecamLayer, cache: dict) -> np.ndarray:
     """Gradient of fecam_forward's output wrt its input and parameters.
 
-    Parameter gradients accumulate into the layer's buffers. The transform's
-    backward is its transposed basis, applied per channel like the forward.
+    Parameter gradients accumulate into the layer's buffers. With the rows of
+    x flattened to (B*C, L), the first weight's gradient is D (x^T dz1) and
+    the input gradient flows back through the folded weight D^T W1.
     """
     if not cache:
         raise ValueError("fecam_backward needs the cache filled by fecam_forward")
@@ -187,16 +202,14 @@ def fecam_backward(upstream, layer: FecamLayer, cache: dict) -> np.ndarray:
     x, att = cache["x"], cache["att"]
     if upstream.shape != x.shape:
         raise ValueError(f"upstream shape {upstream.shape} != input shape {x.shape}")
-    d_x = upstream * att
-    d_att = upstream * x
-    d_z2 = sigmoid_backward(d_att, att)
+    rows = x.reshape(-1, layer.seq_len)
+    d_z2 = sigmoid_backward(upstream * x, att).reshape(rows.shape)
     d_h1 = dense_backward(layer.excite2, d_z2, cache["h1"])
     d_z1 = relu_backward(d_h1, cache["z1"])
-    d_freq = dense_backward(layer.excite1, d_z1, cache["freq"])
-    basis_t = layer.dct.T
-    for b in range(x.shape[0]):
-        for c in range(x.shape[1]):
-            d_x[b, c] += basis_t @ d_freq[b, c]
+    layer.excite1.weight_grad += layer.dct @ (rows.T @ d_z1)
+    layer.excite1.bias_grad += d_z1.sum(axis=0)
+    d_x = (d_z1 @ cache["folded"].T).reshape(x.shape)
+    d_x += upstream * att
     return d_x
 
 

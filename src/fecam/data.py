@@ -65,8 +65,9 @@ def load_csv(path, date_column: str | int = 0, fill_policy: str = "reject") -> R
 
     The timestamp column is selected by header name or position; every other
     column becomes a channel, in file order. Timestamps may be epoch numbers
-    or ISO-8601. Missing cells (empty or NaN) are rejected by default;
-    fill_policy="ffill" copies the previous row's value instead.
+    or ISO-8601, but not a mix of naive and offset-aware ISO times. Missing
+    cells (empty or NaN) are rejected by default; fill_policy="ffill" copies
+    the previous row's value instead. Infinite cells are always rejected.
     """
     if fill_policy not in FILL_POLICIES:
         raise ValueError(f"fill_policy must be one of {FILL_POLICIES}, got {fill_policy!r}")
@@ -95,12 +96,14 @@ def load_csv(path, date_column: str | int = 0, fill_policy: str = "reject") -> R
 
         timestamps = []
         rows = []
+        line_numbers = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
             timestamps.append(_parse_timestamp(row[ts_index], line_no))
+            line_numbers.append(line_no)
             values = np.empty(len(channel_names))
             col = 0
             for i, cell in enumerate(row):
@@ -126,12 +129,24 @@ def load_csv(path, date_column: str | int = 0, fill_policy: str = "reject") -> R
 
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    for i, (a, b) in enumerate(zip(timestamps, timestamps[1:])):
+    for line_no, a, b in zip(line_numbers[1:], timestamps, timestamps[1:]):
         if type(a) is not type(b):
-            raise ValueError(f"line {i + 3}: timestamp type differs from previous rows")
-        if not a < b:
-            raise ValueError(f"line {i + 3}: timestamps not strictly increasing")
-    return RawSeries(timestamps, np.vstack(rows), channel_names)
+            raise ValueError(f"line {line_no}: timestamp type differs from previous rows")
+        try:
+            increasing = a < b
+        except TypeError:
+            raise ValueError(
+                f"line {line_no}: timestamp mixes naive and offset-aware times "
+                "with the previous row") from None
+        if not increasing:
+            raise ValueError(f"line {line_no}: timestamps not strictly increasing")
+    observations = np.vstack(rows)
+    infinite = np.isinf(observations)
+    if infinite.any():
+        row, col = np.argwhere(infinite)[0]
+        raise ValueError(
+            f"line {line_numbers[row]}: infinite value in column {channel_names[col]!r}")
+    return RawSeries(timestamps, observations, channel_names)
 
 
 def chronological_split(series: RawSeries, ratios, min_slice_len: int = 1):

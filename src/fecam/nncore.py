@@ -99,14 +99,15 @@ def relu_backward(upstream, x) -> np.ndarray:
 
 
 def sigmoid_forward(x) -> np.ndarray:
-    """Numerically stable logistic; never overflows for finite input."""
+    """Logistic function without branches or masks.
+
+    exp(-x) overflows to inf for x below about -709, and 1 / (1 + inf) is the
+    correct limit 0, so that overflow is expected and silenced. Above it the
+    result stays strictly positive, unlike 0.5 * (1 + tanh(x / 2)).
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    expx = np.exp(x[~pos])
-    out[~pos] = expx / (1.0 + expx)
-    return out
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def sigmoid_backward(upstream, y) -> np.ndarray:

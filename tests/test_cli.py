@@ -69,6 +69,20 @@ def test_train_missing_file_exits_2_without_outputs(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rows", [
+    ["0,1.0", "1,inf", "2,3.0"],
+    ["2020-01-01T00:00,1.0", "2020-01-01T01:00+00:00,2.0", "2020-01-01T02:00,3.0"],
+], ids=["infinite_cell", "mixed_timestamps"])
+def test_train_bad_cells_exit_2_without_traceback(tmp_path, capsys, rows):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(["time,a", *rows]) + "\n")
+    out = tmp_path / "never"
+    assert cli.main(["train", "--data", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_train_bad_config_exits_2(data_csv, tmp_path):
     code = cli.main(["train", "--data", str(data_csv), "--lookback", "33",
                      "--reduction", "2", "--out", str(tmp_path / "x")])

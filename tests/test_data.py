@@ -102,6 +102,21 @@ def test_non_monotone_timestamps_rejected(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity"])
+def test_infinite_cell_names_line_and_column(tmp_path, cell):
+    # The blank line 3 is skipped but still counted in the reported line number.
+    path = write(tmp_path, f"time,a,b\n0,1.0,4.0\n\n1,2.0,5.0\n2,3.0,{cell}\n")
+    for policy in ("reject", "ffill"):
+        with pytest.raises(ValueError, match="line 5.*'b'"):
+            load_csv(path, fill_policy=policy)
+
+
+def test_mixed_naive_and_aware_timestamps_rejected(tmp_path):
+    path = write(tmp_path, "date,a\n2020-01-01T00:00,1.0\n2020-01-01T01:00+00:00,2.0\n")
+    with pytest.raises(ValueError, match="line 3.*offset-aware"):
+        load_csv(path)
+
+
 def test_ragged_row_rejected(tmp_path):
     path = write(tmp_path, "time,a,b\n0,1.0,2.0\n1,3.0\n")
     with pytest.raises(ValueError, match="line 3"):

@@ -14,7 +14,7 @@ from fecam.attention import (
     se_attention,
     se_attention_backward,
 )
-from fecam.nncore import grad_check, mse_loss
+from fecam.nncore import dense_backward, dense_forward, grad_check, mse_loss, relu_backward, relu_forward
 from fecam.spectral import ORTHO, UNNORMALIZED, dct_forward
 
 
@@ -269,6 +269,79 @@ def test_gradient_check_across_seeds():
             return loss, [g for _, g in layer.parameters()] + [dx]
 
         assert grad_check(f, [p for p, _ in layer.parameters()] + [x]) < 1e-4
+
+
+# --- fused path pinned to the per-row reference ----------------------------------------
+
+def reference_forward_backward(x, upstream, layer):
+    """The unfused layer: per-row spectrum, two dense layers, two-branch sigmoid.
+
+    Returns (out, att, dx, copies of the four parameter grads); the layer's
+    grad buffers are zeroed first and left holding those grads.
+    """
+    freq = frequency_map(x, layer)
+    z1 = dense_forward(layer.excite1, freq)
+    h1 = relu_forward(z1)
+    z2 = dense_forward(layer.excite2, h1)
+    att = np.empty_like(z2)
+    pos = z2 >= 0
+    att[pos] = 1.0 / (1.0 + np.exp(-z2[pos]))
+    expz = np.exp(z2[~pos])
+    att[~pos] = expz / (1.0 + expz)
+    out = x * att
+
+    layer.zero_grad()
+    d_x = upstream * att
+    d_z2 = upstream * x * att * (1.0 - att)
+    d_h1 = dense_backward(layer.excite2, d_z2, h1)
+    d_freq = dense_backward(layer.excite1, relu_backward(d_h1, z1), freq)
+    for b in range(x.shape[0]):
+        for c in range(x.shape[1]):
+            d_x[b, c] += layer.dct.T @ d_freq[b, c]
+    return out, att, d_x, [g.copy() for _, g in layer.parameters()]
+
+
+@pytest.mark.parametrize("shape", [(32, 7, 96), (4, 21, 336)])
+def test_fused_path_matches_per_row_reference(shape):
+    rng = np.random.default_rng(59)
+    layer = FecamLayer(shape[2], reduction=2, rng=rng)
+    for value, _ in layer.parameters():
+        value += rng.normal(scale=0.3, size=value.shape)
+    x = rng.normal(size=shape) * 2.0
+    upstream = rng.normal(size=shape)
+    ref_out, ref_att, ref_dx, ref_grads = reference_forward_backward(x, upstream, layer)
+
+    layer.zero_grad()
+    cache = {}
+    out, att = fecam_forward(x, layer, cache)
+    dx = fecam_backward(upstream, layer, cache)
+    grads = [g for _, g in layer.parameters()]
+    for name, got, ref in zip(["out", "att", "dx", "w1", "b1", "w2", "b2"],
+                              [out, att, dx, *grads], [ref_out, ref_att, ref_dx, *ref_grads]):
+        bound = 1e-12 * max(1.0, np.max(np.abs(ref)))
+        assert np.max(np.abs(got - ref)) <= bound, name
+
+
+def test_forward_sees_in_place_weight_edits():
+    rng = np.random.default_rng(61)
+    layer = FecamLayer(16, rng=rng)
+    x = rng.normal(size=(2, 3, 16))
+    before = fecam_forward(x, layer)[1]
+    layer.excite1.weight[3, :] += 0.5
+    after = fecam_forward(x, layer)[1]
+    assert not np.array_equal(before, after)
+    np.testing.assert_allclose(after, reference_forward_backward(x, np.zeros_like(x), layer)[1],
+                               rtol=0, atol=1e-12)
+
+
+def test_forward_rejects_bad_length_and_non_finite_input():
+    layer = FecamLayer(8)
+    with pytest.raises(ValueError, match="seq_len"):
+        fecam_forward(np.ones((1, 2, 10)), layer)
+    x = np.ones((1, 2, 8))
+    x[0, 1, 3] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        fecam_forward(x, layer)
 
 
 # --- state round trip -----------------------------------------------------------------

@@ -5,6 +5,8 @@ grad_check; the quadratic cases (linear maps, MSE) are exact for central
 differences up to rounding, so their tolerances are much tighter.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,20 @@ def test_sigmoid_stable_at_extremes():
     assert np.all(np.isfinite(y))
     assert y[0] == pytest.approx(0.0, abs=1e-300)
     assert y[1] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_sigmoid_matches_two_branch_formula_without_warnings():
+    x = np.concatenate([np.linspace(-800.0, 800.0, 100001), [-1e308, 1e308]])
+    expected = np.empty_like(x)
+    pos = x >= 0
+    expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    expx = np.exp(x[~pos])
+    expected[~pos] = expx / (1.0 + expx)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = sigmoid_forward(x)
+    assert np.max(np.abs(y - expected)) <= 1e-15
+    assert np.all(y[x >= -700.0] > 0.0)
 
 
 def test_activation_gradient_checks():
