@@ -35,6 +35,7 @@ from .data import (
     load_csv,
     make_windows,
     series_summary,
+    write_csv,
 )
 from .forecaster import (
     DivergenceError,
@@ -139,12 +140,6 @@ def _prepared_windows(args, lookback: int, horizon: int):
     return series, splits, scaler, windows
 
 
-def _write_history(path: Path, history) -> None:
-    lines = ["epoch,train_loss,val_loss"]
-    lines += [f"{epoch},{tr:.9g},{va:.9g}" for epoch, tr, va in history]
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _metrics_payload(args, config: TrainConfig, report, history, seconds: float) -> dict:
     return {
         "dataset": Path(args.data).name,
@@ -175,35 +170,31 @@ def cmd_train(args) -> int:
     _write_json(out / "dataset.json", series_summary(series, splits))
     baseline = persistence_report(test_ds)
 
+    # A plain run has one arm named "", so its files carry no suffix.
     if args.ablation:
         result = ablation_compare(train_ds, val_ds, test_ds, config)
-        for arm, report, history, model in (
-                ("fecam", result.fecam_report, result.fecam_history, result.fecam_model),
-                ("plain", result.plain_report, result.plain_history, result.plain_model)):
-            payload = _metrics_payload(args, config, report, history,
-                                       time.perf_counter() - started)
-            payload["arm"] = arm
-            payload["persistence_mse"] = baseline.mse
-            _write_json(out / f"metrics_{arm}.json", payload)
-            _write_history(out / f"loss_history_{arm}.csv", history)
-            save_model(out / f"model_{arm}.json", model, {"dataset": Path(args.data).name})
+        arms = [("fecam", result.fecam_model, result.fecam_history, result.fecam_report),
+                ("plain", result.plain_model, result.plain_history, result.plain_report)]
         _write_json(out / "ablation.json", {
             "fecam_mse": result.fecam_report.mse,
             "plain_mse": result.plain_report.mse,
             "mse_reduction_pct": result.mse_reduction_pct,
         })
     else:
-        model = build_model(config)
-        model, history = train(model, train_ds, val_ds, config)
-        report = evaluate(model, test_ds)
+        model, history = train(build_model(config), train_ds, val_ds, config)
+        arms = [("", model, history, evaluate(model, test_ds))]
+
+    for arm, model, history, report in arms:
+        suffix = f"_{arm}" if arm else ""
         payload = _metrics_payload(args, config, report, history,
                                    time.perf_counter() - started)
+        if arm:
+            payload["arm"] = arm
         payload["persistence_mse"] = baseline.mse
         payload["persistence_mae"] = baseline.mae
-        _write_json(out / "metrics.json", payload)
-        _write_history(out / "loss_history.csv", history)
-        save_model(out / "model.json", model, {"dataset": Path(args.data).name})
-
+        _write_json(out / f"metrics{suffix}.json", payload)
+        write_csv(out / f"loss_history{suffix}.csv", ["epoch", "train_loss", "val_loss"], history)
+        save_model(out / f"model{suffix}.json", model, {"dataset": Path(args.data).name})
     _write_manifest(out, args, started)
     return 0
 
@@ -233,14 +224,15 @@ def cmd_gibbs(args) -> int:
         probe = pulse_wave_probe()
 
     started = time.perf_counter()
+    rows = gibbs_sweep(model, probe, orders)
+    xs = np.linspace(0.0, model.period, args.curve_points, endpoint=False)
+    curves = {order: zip(xs, _sample_curve(model, order, xs)) for order in orders}
+
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    rows = gibbs_sweep(model, probe, orders, path=out / "gibbs.csv")
-    xs = np.linspace(0.0, model.period, args.curve_points, endpoint=False)
-    for order in orders:
-        curve = _sample_curve(model, order, xs)
-        lines = ["x,value"] + [f"{x:.9g},{v:.9g}" for x, v in zip(xs, curve)]
-        (out / f"curve_n{order}.csv").write_text("\n".join(lines) + "\n")
+    write_csv(out / "gibbs.csv", ["N", "overshoot", "target"], rows)
+    for order, curve in curves.items():
+        write_csv(out / f"curve_n{order}.csv", ["x", "value"], curve)
     _write_json(out / "gibbs.json", {
         "wave": args.wave,
         "jump": probe.jump,
@@ -261,21 +253,21 @@ def cmd_compaction(args) -> int:
         raise ValueError(f"components must lie in [1, {args.length}]")
 
     started = time.perf_counter()
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    energy_compaction_report(signal, components, path=out / "compaction.csv")
+    errors = ["n", "dct_err", "dft_err"]
+    tables = {"compaction.csv": (errors, energy_compaction_report(signal, components))}
     for kind in ("dct", "dft"):
         for n in components:
             recon, _ = reconstruct_truncated(signal, n, kind)
-            lines = ["index,original,reconstruction"]
-            lines += [f"{i},{signal[i]:.9g},{recon[i]:.9g}" for i in range(args.length)]
-            (out / f"recon_{kind}_n{n}.csv").write_text("\n".join(lines) + "\n")
+            tables[f"recon_{kind}_n{n}.csv"] = (["index", "original", "reconstruction"],
+                                                zip(range(args.length), signal, recon))
     if args.signal == "ramp":
-        lines = ["n,dct_err,dft_err"]
-        for n in components:
-            dct_err, dft_err = boundary_overshoot_compare(signal, n)
-            lines.append(f"{n},{dct_err:.9g},{dft_err:.9g}")
-        (out / "boundary.csv").write_text("\n".join(lines) + "\n")
+        tables["boundary.csv"] = (
+            errors, [(n, *boundary_overshoot_compare(signal, n)) for n in components])
+
+    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        write_csv(out / name, header, rows)
     _write_manifest(out, args, started)
     return 0
 

@@ -2,8 +2,9 @@
 
 Covers CSV loading with strict validation, chronological train/val/test
 splitting, per-channel standardization fitted on the training slice only,
-stride-1 sliding-window generation, and deterministic synthetic series for
-tests and smoke runs. Everything stays in memory; files are never mutated.
+stride-1 sliding-window generation, deterministic synthetic series for
+tests and smoke runs, and the CSV writer every artifact goes through.
+Everything stays in memory; input files are never mutated.
 """
 
 from __future__ import annotations
@@ -147,6 +148,19 @@ def load_csv(path, date_column: str | int = 0, fill_policy: str = "reject") -> R
         raise ValueError(
             f"line {line_numbers[row]}: infinite value in column {channel_names[col]!r}")
     return RawSeries(timestamps, observations, channel_names)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header line and one line per row, comma-separated, LF-terminated.
+
+    Floats are written with nine significant digits (%.9g); every other cell,
+    ints included, as its plain text.
+    """
+    lines = [",".join(header)]
+    lines += [",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def chronological_split(series: RawSeries, ratios, min_slice_len: int = 1):

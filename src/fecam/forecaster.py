@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import FecamLayer, fecam_backward, fecam_forward
+from .attention import Excitation, fecam_backward, fecam_forward
 from .data import WindowedDataset
 from .nncore import (
     AdamState,
@@ -97,7 +97,7 @@ class ForecastModel:
         self.horizon = horizon
         self.reduction = reduction
         self.projection = DenseLayer(lookback, horizon, np.random.default_rng([seed, 0]))
-        self.fecam = (FecamLayer(lookback, reduction, np.random.default_rng([seed, 1]))
+        self.fecam = (Excitation(lookback, reduction, np.random.default_rng([seed, 1]))
                       if with_fecam else None)
 
     def parameters(self) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -116,23 +116,6 @@ def sigmoid_backward(upstream, y) -> np.ndarray:
     return np.asarray(upstream, dtype=np.float64) * y * (1.0 - y)
 
 
-def elementwise_mul_forward(a, b) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
-
-def elementwise_mul_backward(upstream, a, b) -> tuple[np.ndarray, np.ndarray]:
-    upstream = np.asarray(upstream, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if not (upstream.shape == a.shape == b.shape):
-        raise ValueError("upstream/a/b shapes must all match")
-    return upstream * b, upstream * a
-
-
 def mse_loss(pred, target) -> tuple[float, np.ndarray]:
     """Mean squared error over every element, with its gradient wrt pred."""
     pred = np.asarray(pred, dtype=np.float64)
@@ -235,7 +218,10 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint written by save_checkpoint; returns (arrays, meta)."""
+    """Read a checkpoint written by save_checkpoint; returns (arrays, meta).
+
+    Arrays holding NaN or infinity are rejected, naming the array.
+    """
     payload = json.loads(Path(path).read_text())
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
@@ -247,5 +233,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         data = np.asarray(entry["data"], dtype=np.float64)
         if data.size != int(np.prod(shape, dtype=np.int64)):
             raise ValueError(f"array {name!r}: data length does not match shape {shape}")
+        if not np.all(np.isfinite(data)):
+            raise ValueError(f"array {name!r} contains non-finite values")
         arrays[name] = data.reshape(shape)
     return arrays, payload.get("meta", {})

@@ -9,7 +9,6 @@ fast-transform path. Every function is pure and safe to call concurrently.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -95,13 +94,6 @@ class JumpProbe:
 # ---------------------------------------------------------------------------
 # Cosine transform
 # ---------------------------------------------------------------------------
-
-def dct_basis(l: int, i: int, length: int) -> float:
-    """Cosine basis entry cos(pi*l/length * (i + 1/2))."""
-    if not (0 <= l < length and 0 <= i < length):
-        raise ValueError(f"basis index out of range: l={l}, i={i}, length={length}")
-    return float(np.cos(np.pi * l / length * (i + 0.5)))
-
 
 @lru_cache(maxsize=64)
 def dct_matrix(length: int, normalization: str = ORTHO) -> np.ndarray:
@@ -273,18 +265,11 @@ def gibbs_overshoot(model: FourierSeriesModel, probe: JumpProbe, order: int) -> 
     return fourier_partial_sum(model, order, at) - probe.right_limit
 
 
-def gibbs_sweep(model: FourierSeriesModel, probe: JumpProbe, orders,
-                path=None) -> list[tuple[int, float, float]]:
+def gibbs_sweep(model: FourierSeriesModel, probe: JumpProbe,
+                orders) -> list[tuple[int, float, float]]:
     """Overshoot per order next to the probe's jump; rows (N, overshoot, target)."""
     target = probe.jump * GIBBS_CONSTANT
-    rows = [(int(n), gibbs_overshoot(model, probe, int(n)), target) for n in orders]
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["N", "overshoot", "target"])
-            for n, overshoot, tgt in rows:
-                writer.writerow([n, f"{overshoot:.9g}", f"{tgt:.9g}"])
-    return rows
+    return [(int(n), gibbs_overshoot(model, probe, int(n)), target) for n in orders]
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +306,7 @@ def reconstruct_truncated(x, n: int, kind: str) -> tuple[np.ndarray, float]:
     return recon, float(np.linalg.norm(recon - x))
 
 
-def boundary_overshoot_compare(x, n: int, path=None) -> tuple[float, float]:
+def boundary_overshoot_compare(x, n: int) -> tuple[float, float]:
     """Max reconstruction error over the outermost two samples at each end,
     for DCT- and DFT-truncation to n components.
 
@@ -335,12 +320,10 @@ def boundary_overshoot_compare(x, n: int, path=None) -> tuple[float, float]:
     edge = np.r_[0:2, x.size - 2:x.size] if x.size >= 4 else np.arange(x.size)
     dct_err = float(np.max(np.abs(dct_rec[edge] - x[edge])))
     dft_err = float(np.max(np.abs(dft_rec[edge] - x[edge])))
-    if path is not None:
-        _write_error_rows(path, [(n, dct_err, dft_err)])
     return dct_err, dft_err
 
 
-def energy_compaction_report(x, ns, path=None) -> list[tuple[int, float, float]]:
+def energy_compaction_report(x, ns) -> list[tuple[int, float, float]]:
     """Reconstruction error of both transforms per component count.
 
     Rows come back sorted by n as (n, dct_err, dft_err), ready for plotting.
@@ -353,17 +336,7 @@ def energy_compaction_report(x, ns, path=None) -> list[tuple[int, float, float]]
         _, dct_err = reconstruct_truncated(x, n, "dct")
         _, dft_err = reconstruct_truncated(x, n, "dft")
         rows.append((n, dct_err, dft_err))
-    if path is not None:
-        _write_error_rows(path, rows)
     return rows
-
-
-def _write_error_rows(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "dct_err", "dft_err"])
-        for n, dct_err, dft_err in rows:
-            writer.writerow([n, f"{dct_err:.9g}", f"{dft_err:.9g}"])
 
 
 def low_frequency_signal(length: int = 16, components: int = 3) -> np.ndarray:

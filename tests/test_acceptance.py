@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from fecam.attention import FecamLayer, SeBaseline, fecam_backward, fecam_forward, se_attention, se_attention_backward
+from fecam.attention import Excitation, fecam_backward, fecam_forward, se_attention, se_attention_backward
 from fecam.data import chronological_split, fit_standardizer, load_csv, make_windows, synth_series
 from fecam.forecaster import (
     TrainConfig,
@@ -28,8 +28,6 @@ from fecam.nncore import (
     DenseLayer,
     dense_backward,
     dense_forward,
-    elementwise_mul_backward,
-    elementwise_mul_forward,
     grad_check,
     mse_loss,
     relu_backward,
@@ -165,18 +163,12 @@ def test_05_gradient_checks_every_layer_and_full_model_20_seeds():
 
         worst = max(worst, _checked_grad(f_relu, [x]), _checked_grad(f_sigmoid, [x]))
 
-        other = rng.normal(size=x.shape)
-
-        def f_mul():
-            y = elementwise_mul_forward(x, other)
-            loss, dl = mse_loss(y, target_len)
-            da, db = elementwise_mul_backward(dl, x, other)
-            return loss, [da, db]
-
-        worst = max(worst, _checked_grad(f_mul, [x, other]))
+        # The elementwise-product check that used to sit here drew one array;
+        # the draw stays so every later case sees the same random stream.
+        rng.normal(size=x.shape)
 
         if c % 2 == 0:
-            se = SeBaseline(c, reduction=2, rng=rng)
+            se = Excitation(c, reduction=2, rng=rng)
 
             def f_se():
                 se.zero_grad()
@@ -190,7 +182,7 @@ def test_05_gradient_checks_every_layer_and_full_model_20_seeds():
 
         small_len = min(length, 16)
         xs = np.ascontiguousarray(x[..., :small_len])
-        layer = FecamLayer(small_len, reduction=2, rng=rng)
+        layer = Excitation(small_len, reduction=2, rng=rng)
         target_small = rng.normal(size=xs.shape)
 
         def f_fecam():

@@ -17,6 +17,7 @@ import pytest
 from fecam import cli
 from fecam.data import synth_series
 from fecam.forecaster import DivergenceError, ForecastModel, save_model
+from fecam.spectral import energy_compaction_report, low_frequency_signal
 
 
 @pytest.fixture(autouse=True)
@@ -122,6 +123,9 @@ def test_train_ablation_writes_both_arms(data_csv, tmp_path):
     assert summary["mse_reduction_pct"] == pytest.approx(expected, rel=1e-12)
     assert (out / "model_fecam.json").exists() and (out / "model_plain.json").exists()
     assert (out / "loss_history_fecam.csv").exists()
+    for arm, metrics in (("fecam", fecam_m), ("plain", plain_m)):
+        assert metrics["arm"] == arm
+        assert metrics["persistence_mae"] > 0
 
 
 def test_divergence_maps_to_exit_3(data_csv, tmp_path, monkeypatch):
@@ -146,9 +150,12 @@ def test_gibbs_writes_sweep_and_curves(tmp_path):
     out = tmp_path / "gibbs"
     assert cli.main(["gibbs", "--orders", "10,100", "--curve-points", "64",
                      "--out", str(out)]) == 0
-    lines = (out / "gibbs.csv").read_text().strip().splitlines()
+    raw = (out / "gibbs.csv").read_bytes()
+    assert b"\r" not in raw
+    lines = raw.decode().strip().splitlines()
     assert lines[0] == "N,overshoot,target"
     assert len(lines) == 3
+    assert [line.split(",")[0] for line in lines[1:]] == ["10", "100"]
     target = float(lines[1].split(",")[2])
     assert target == pytest.approx(2 * 0.089489872236, rel=1e-8)
     for order in (10, 100):
@@ -175,16 +182,31 @@ def test_gibbs_rejects_bad_orders(tmp_path):
     assert cli.main(["gibbs", "--orders", "0,5", "--out", str(tmp_path / "y")]) == 2
 
 
+def test_gibbs_zero_amplitude_exits_2_without_outputs(tmp_path, capsys):
+    out = tmp_path / "flat"
+    assert cli.main(["gibbs", "--amplitude", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "zero jump" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # --- compaction --------------------------------------------------------------------
 
 def test_compaction_fixture_table_and_reconstructions(tmp_path):
     out = tmp_path / "comp"
     assert cli.main(["compaction", "--out", str(out)]) == 0
-    lines = (out / "compaction.csv").read_text().strip().splitlines()
+    raw = (out / "compaction.csv").read_bytes()
+    assert b"\r" not in raw
+    lines = raw.decode().strip().splitlines()
     assert lines[0] == "n,dct_err,dft_err"
-    for line in lines[1:]:
+    rows = energy_compaction_report(low_frequency_signal(), [5, 10, 15])
+    assert len(lines) == 1 + len(rows)
+    for row, line in zip(rows, lines[1:]):
         n, dct_err, dft_err = line.split(",")
         assert float(dct_err) < float(dft_err)
+        assert int(n) == row[0]
+        assert float(dct_err) == pytest.approx(row[1], rel=1e-8)
+        assert float(dft_err) == pytest.approx(row[2], rel=1e-8)
     recon = (out / "recon_dct_n5.csv").read_text().strip().splitlines()
     assert recon[0] == "index,original,reconstruction" and len(recon) == 17
     assert (out / "recon_dft_n15.csv").exists()
@@ -203,6 +225,7 @@ def test_compaction_ramp_writes_boundary_report(tmp_path):
                      "--out", str(out)]) == 0
     lines = (out / "boundary.csv").read_text().strip().splitlines()
     assert lines[0] == "n,dct_err,dft_err"
+    assert [line.split(",")[0] for line in lines[1:]] == ["5", "10"]
     for line in lines[1:]:
         _, dct_err, dft_err = line.split(",")
         assert float(dct_err) < float(dft_err)
@@ -248,6 +271,19 @@ def test_attention_rejects_plain_checkpoint(data_csv, tmp_path):
     ckpt = make_checkpoint(tmp_path, with_fecam=False)
     assert cli.main(["attention", "--checkpoint", str(ckpt), "--data", str(data_csv),
                      "--out", str(tmp_path / "x")]) == 2
+
+
+def test_attention_rejects_non_finite_checkpoint(data_csv, tmp_path, capsys):
+    ckpt = make_checkpoint(tmp_path)
+    payload = json.loads(ckpt.read_text())
+    payload["arrays"]["projection.weight"]["data"][3] = float("nan")
+    ckpt.write_text(json.dumps(payload))
+    out = tmp_path / "x"
+    assert cli.main(["attention", "--checkpoint", str(ckpt), "--data", str(data_csv),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "projection.weight" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_attention_rejects_too_short_data(tmp_path):

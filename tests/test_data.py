@@ -12,6 +12,7 @@ from fecam.data import (
     make_windows,
     series_summary,
     synth_series,
+    write_csv,
 )
 from fecam.spectral import ORTHO, dct_forward
 
@@ -145,6 +146,21 @@ def test_timestamp_column_by_position(tmp_path):
         load_csv(path, date_column="missing")
     with pytest.raises(ValueError):
         load_csv(path, date_column=7)
+
+
+# --- write_csv ---------------------------------------------------------------------
+
+def test_write_csv_formats_cells_with_lf_endings(tmp_path):
+    path = tmp_path / "out.csv"
+    rows = [(5, 1.0 / 3.0, 2.5e-13), (10, np.float64(-7.0), 0.0)]
+    write_csv(path, ["n", "dct_err", "dft_err"], rows)
+    raw = path.read_bytes()
+    assert b"\r" not in raw
+    assert raw.decode() == "n,dct_err,dft_err\n5,0.333333333,2.5e-13\n10,-7,0\n"
+    # Nine significant digits round-trip through load_csv to ~1e-9 relative.
+    reread = load_csv(path)
+    assert reread.timestamps == [5.0, 10.0]
+    np.testing.assert_allclose(reread.observations, [row[1:] for row in rows], rtol=1e-8)
 
 
 # --- chronological_split ----------------------------------------------------------

@@ -1,11 +1,12 @@
 """Tests for the frequency attention layer and the squeeze-excite baseline."""
 
+import json
+
 import numpy as np
 import pytest
 
 from fecam.attention import (
-    FecamLayer,
-    SeBaseline,
+    Excitation,
     export_attention,
     fecam_backward,
     fecam_forward,
@@ -14,8 +15,9 @@ from fecam.attention import (
     se_attention,
     se_attention_backward,
 )
+from fecam.forecaster import ForecastModel, load_model, save_model
 from fecam.nncore import dense_backward, dense_forward, grad_check, mse_loss, relu_backward, relu_forward
-from fecam.spectral import ORTHO, UNNORMALIZED, dct_forward
+from fecam.spectral import ORTHO, UNNORMALIZED, dct_forward, dct_matrix
 
 
 def zeroed(layer):
@@ -50,7 +52,7 @@ def test_lowest_coefficient_recovers_gap():
     rng = np.random.default_rng(31)
     x = rng.normal(size=(3, 4, 96))
     means = gap(x)
-    layer = FecamLayer(96, rng=rng)
+    layer = Excitation(96, rng=rng)
     freq = frequency_map(x, layer)
     for b in range(3):
         for c in range(4):
@@ -62,7 +64,7 @@ def test_lowest_coefficient_recovers_gap():
 # --- squeeze-excite baseline -----------------------------------------------------
 
 def test_se_zero_weights_halves_input():
-    se = zeroed(SeBaseline(4, reduction=2))
+    se = zeroed(Excitation(4, reduction=2))
     x = np.random.default_rng(1).normal(size=(2, 4, 6))
     att, out = se_attention(x, se)
     np.testing.assert_array_equal(att, np.full((2, 4), 0.5))
@@ -70,7 +72,7 @@ def test_se_zero_weights_halves_input():
 
 
 def test_se_attention_is_in_unit_interval():
-    se = SeBaseline(4, rng=np.random.default_rng(2))
+    se = Excitation(4, rng=np.random.default_rng(2))
     x = np.random.default_rng(3).normal(size=(3, 4, 10)) * 5
     att, _ = se_attention(x, se)
     assert att.shape == (3, 4)
@@ -78,16 +80,16 @@ def test_se_attention_is_in_unit_interval():
 
 
 def test_se_channel_count_checked():
-    se = SeBaseline(4)
+    se = Excitation(4)
     with pytest.raises(ValueError):
         se_attention(np.ones((1, 6, 5)), se)
     with pytest.raises(ValueError):
-        SeBaseline(5, reduction=2)
+        Excitation(5, reduction=2)
 
 
 def test_se_block_gradient_check():
     rng = np.random.default_rng(7)
-    se = SeBaseline(4, reduction=2, rng=rng)
+    se = Excitation(4, reduction=2, rng=rng)
     x = rng.normal(size=(2, 4, 6))
     target = rng.normal(size=(2, 4, 6))
 
@@ -105,7 +107,7 @@ def test_se_block_gradient_check():
 
 
 def test_se_backward_requires_cache():
-    se = SeBaseline(2)
+    se = Excitation(2)
     with pytest.raises(ValueError):
         se_attention_backward(np.ones((1, 2, 4)), se, {})
 
@@ -115,7 +117,7 @@ def test_se_backward_requires_cache():
 def test_frequency_map_matches_single_channel_transform_bitwise():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(3, 5, 16))
-    layer = FecamLayer(16)
+    layer = Excitation(16)
     freq = frequency_map(x, layer)
     for b in range(3):
         for c in range(5):
@@ -125,14 +127,14 @@ def test_frequency_map_matches_single_channel_transform_bitwise():
 
 def test_frequency_map_constant_channel_is_pure_dc():
     x = np.full((1, 2, 8), 3.0)
-    freq = frequency_map(x, FecamLayer(8))
+    freq = frequency_map(x, Excitation(8))
     assert np.max(np.abs(freq[:, :, 1:])) < 1e-12
     np.testing.assert_allclose(freq[:, :, 0], np.sqrt(8) * 3.0)
 
 
 def test_frequency_map_is_linear():
     rng = np.random.default_rng(13)
-    layer = FecamLayer(12, reduction=3)
+    layer = Excitation(12, reduction=3)
     x, y = rng.normal(size=(2, 3, 12)), rng.normal(size=(2, 3, 12))
     lhs = frequency_map(2.0 * x - 0.5 * y, layer)
     rhs = 2.0 * frequency_map(x, layer) - 0.5 * frequency_map(y, layer)
@@ -141,7 +143,7 @@ def test_frequency_map_is_linear():
 
 def test_frequency_map_channel_equivariance():
     rng = np.random.default_rng(17)
-    layer = FecamLayer(8)
+    layer = Excitation(8)
     x = rng.normal(size=(2, 5, 8))
     perm = np.array([3, 0, 4, 1, 2])
     np.testing.assert_array_equal(frequency_map(x[:, perm], layer),
@@ -150,13 +152,13 @@ def test_frequency_map_channel_equivariance():
 
 def test_frequency_map_length_mismatch():
     with pytest.raises(ValueError):
-        frequency_map(np.ones((1, 2, 10)), FecamLayer(8))
+        frequency_map(np.ones((1, 2, 10)), Excitation(8))
 
 
 # --- fecam forward ------------------------------------------------------------------
 
 def test_zero_excitation_fixed_point():
-    layer = zeroed(FecamLayer(8, reduction=2))
+    layer = zeroed(Excitation(8, reduction=2))
     x = np.random.default_rng(19).normal(size=(2, 3, 8))
     out, att = fecam_forward(x, layer)
     np.testing.assert_array_equal(att, np.full((2, 3, 8), 0.5))
@@ -165,7 +167,7 @@ def test_zero_excitation_fixed_point():
 
 def test_attention_shape_and_open_interval():
     rng = np.random.default_rng(23)
-    layer = FecamLayer(16, reduction=4, rng=rng)
+    layer = Excitation(16, reduction=4, rng=rng)
     x = rng.normal(size=(4, 6, 16)) * 3
     out, att = fecam_forward(x, layer)
     assert att.shape == (4, 6, 16) and out.shape == x.shape
@@ -174,7 +176,7 @@ def test_attention_shape_and_open_interval():
 
 def test_output_never_amplifies():
     rng = np.random.default_rng(29)
-    layer = FecamLayer(12, rng=rng)
+    layer = Excitation(12, rng=rng)
     x = rng.normal(size=(3, 4, 12)) * 10
     out, _ = fecam_forward(x, layer)
     assert np.all(np.abs(out) <= np.abs(x))
@@ -182,16 +184,16 @@ def test_output_never_amplifies():
 
 def test_layer_construction_validation():
     with pytest.raises(ValueError):
-        FecamLayer(9, reduction=2)
+        Excitation(9, reduction=2)
     with pytest.raises(ValueError):
-        FecamLayer(0)
+        Excitation(0)
     with pytest.raises(ValueError):
-        FecamLayer(8, reduction=0)
+        Excitation(8, reduction=0)
 
 
 def test_layer_is_seed_deterministic():
-    a = FecamLayer(8, rng=np.random.default_rng(5))
-    b = FecamLayer(8, rng=np.random.default_rng(5))
+    a = Excitation(8, rng=np.random.default_rng(5))
+    b = Excitation(8, rng=np.random.default_rng(5))
     np.testing.assert_array_equal(a.excite1.weight, b.excite1.weight)
     np.testing.assert_array_equal(a.excite2.bias, b.excite2.bias)
 
@@ -200,7 +202,7 @@ def test_layer_is_seed_deterministic():
 
 def test_zero_upstream_gives_zero_grads():
     rng = np.random.default_rng(31)
-    layer = FecamLayer(8, rng=rng)
+    layer = Excitation(8, rng=rng)
     x = rng.normal(size=(2, 2, 8))
     cache = {}
     fecam_forward(x, layer, cache)
@@ -210,14 +212,14 @@ def test_zero_upstream_gives_zero_grads():
 
 
 def test_backward_requires_cache():
-    layer = FecamLayer(8)
+    layer = Excitation(8)
     with pytest.raises(ValueError):
         fecam_backward(np.ones((1, 1, 8)), layer, {})
 
 
 def test_batch_grads_are_summed_not_averaged():
     rng = np.random.default_rng(37)
-    layer = FecamLayer(8, rng=rng)
+    layer = Excitation(8, rng=rng)
     x = rng.normal(size=(1, 2, 8))
     up = rng.normal(size=(1, 2, 8))
 
@@ -236,7 +238,7 @@ def test_batch_grads_are_summed_not_averaged():
 
 def test_full_layer_gradient_check():
     rng = np.random.default_rng(41)
-    layer = FecamLayer(8, reduction=2, rng=rng)
+    layer = Excitation(8, reduction=2, rng=rng)
     x = rng.normal(size=(2, 3, 8))
     target = rng.normal(size=(2, 3, 8))
 
@@ -256,7 +258,7 @@ def test_gradient_check_across_seeds():
     for seed in range(6):
         rng = np.random.default_rng(seed)
         length = int(rng.integers(2, 7)) * 2
-        layer = FecamLayer(length, reduction=2, rng=rng)
+        layer = Excitation(length, reduction=2, rng=rng)
         x = rng.normal(size=(int(rng.integers(1, 4)), int(rng.integers(1, 5)), length))
         target = rng.normal(size=x.shape)
 
@@ -273,6 +275,15 @@ def test_gradient_check_across_seeds():
 
 # --- fused path pinned to the per-row reference ----------------------------------------
 
+def two_branch_sigmoid(z):
+    att = np.empty_like(z)
+    pos = z >= 0
+    att[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    expz = np.exp(z[~pos])
+    att[~pos] = expz / (1.0 + expz)
+    return att
+
+
 def reference_forward_backward(x, upstream, layer):
     """The unfused layer: per-row spectrum, two dense layers, two-branch sigmoid.
 
@@ -282,12 +293,7 @@ def reference_forward_backward(x, upstream, layer):
     freq = frequency_map(x, layer)
     z1 = dense_forward(layer.excite1, freq)
     h1 = relu_forward(z1)
-    z2 = dense_forward(layer.excite2, h1)
-    att = np.empty_like(z2)
-    pos = z2 >= 0
-    att[pos] = 1.0 / (1.0 + np.exp(-z2[pos]))
-    expz = np.exp(z2[~pos])
-    att[~pos] = expz / (1.0 + expz)
+    att = two_branch_sigmoid(dense_forward(layer.excite2, h1))
     out = x * att
 
     layer.zero_grad()
@@ -295,16 +301,17 @@ def reference_forward_backward(x, upstream, layer):
     d_z2 = upstream * x * att * (1.0 - att)
     d_h1 = dense_backward(layer.excite2, d_z2, h1)
     d_freq = dense_backward(layer.excite1, relu_backward(d_h1, z1), freq)
+    dct = dct_matrix(layer.size, ORTHO)
     for b in range(x.shape[0]):
         for c in range(x.shape[1]):
-            d_x[b, c] += layer.dct.T @ d_freq[b, c]
+            d_x[b, c] += dct.T @ d_freq[b, c]
     return out, att, d_x, [g.copy() for _, g in layer.parameters()]
 
 
 @pytest.mark.parametrize("shape", [(32, 7, 96), (4, 21, 336)])
 def test_fused_path_matches_per_row_reference(shape):
     rng = np.random.default_rng(59)
-    layer = FecamLayer(shape[2], reduction=2, rng=rng)
+    layer = Excitation(shape[2], reduction=2, rng=rng)
     for value, _ in layer.parameters():
         value += rng.normal(scale=0.3, size=value.shape)
     x = rng.normal(size=shape) * 2.0
@@ -324,7 +331,7 @@ def test_fused_path_matches_per_row_reference(shape):
 
 def test_forward_sees_in_place_weight_edits():
     rng = np.random.default_rng(61)
-    layer = FecamLayer(16, rng=rng)
+    layer = Excitation(16, rng=rng)
     x = rng.normal(size=(2, 3, 16))
     before = fecam_forward(x, layer)[1]
     layer.excite1.weight[3, :] += 0.5
@@ -335,8 +342,8 @@ def test_forward_sees_in_place_weight_edits():
 
 
 def test_forward_rejects_bad_length_and_non_finite_input():
-    layer = FecamLayer(8)
-    with pytest.raises(ValueError, match="seq_len"):
+    layer = Excitation(8)
+    with pytest.raises(ValueError, match="block expects 8"):
         fecam_forward(np.ones((1, 2, 10)), layer)
     x = np.ones((1, 2, 8))
     x[0, 1, 3] = np.inf
@@ -344,22 +351,79 @@ def test_forward_rejects_bad_length_and_non_finite_input():
         fecam_forward(x, layer)
 
 
+# --- squeeze-excite pinned to the dense-layer reference -------------------------------
+
+def reference_se(x, upstream, block):
+    """SE through dense_forward/dense_backward and the two-branch sigmoid.
+
+    Returns (out, att, dx, copies of the four parameter grads); the block's
+    grad buffers are zeroed first and left holding those grads.
+    """
+    squeezed = x.mean(axis=2)
+    z1 = dense_forward(block.excite1, squeezed)
+    h1 = relu_forward(z1)
+    att = two_branch_sigmoid(dense_forward(block.excite2, h1))
+    out = x * att[:, :, None]
+
+    block.zero_grad()
+    d_att = (upstream * x).sum(axis=2)
+    d_h1 = dense_backward(block.excite2, d_att * att * (1.0 - att), h1)
+    d_squeezed = dense_backward(block.excite1, relu_backward(d_h1, z1), squeezed)
+    d_x = upstream * att[:, :, None] + d_squeezed[:, :, None] / x.shape[2]
+    return out, att, d_x, [g.copy() for _, g in block.parameters()]
+
+
+@pytest.mark.parametrize("shape", [(32, 8, 96), (3, 22, 17)])
+def test_se_matches_dense_layer_reference(shape):
+    rng = np.random.default_rng(67)
+    block = Excitation(shape[1], reduction=2, rng=rng)
+    for value, _ in block.parameters():
+        value += rng.normal(scale=0.3, size=value.shape)
+    x = rng.normal(size=shape) * 2.0
+    upstream = rng.normal(size=shape)
+    ref_out, ref_att, ref_dx, ref_grads = reference_se(x, upstream, block)
+
+    block.zero_grad()
+    cache = {}
+    att, out = se_attention(x, block, cache)
+    dx = se_attention_backward(upstream, block, cache)
+    grads = [g for _, g in block.parameters()]
+    for name, got, ref in zip(["out", "att", "dx", "w1", "b1", "w2", "b2"],
+                              [out, att, dx, *grads], [ref_out, ref_att, ref_dx, *ref_grads]):
+        bound = 1e-12 * max(1.0, np.max(np.abs(ref)))
+        assert np.max(np.abs(got - ref)) <= bound, name
+
+
+def test_se_rejects_non_finite_input():
+    x = np.ones((1, 2, 4))
+    x[0, 1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        se_attention(x, Excitation(2))
+
+
 # --- state round trip -----------------------------------------------------------------
 
-def test_state_arrays_round_trip():
+def test_state_arrays_round_trip(tmp_path):
     rng = np.random.default_rng(43)
-    src = FecamLayer(8, rng=rng)
-    dst = FecamLayer(8, rng=np.random.default_rng(99))
-    dst.load_state({k: v.copy() for k, v in src.state_arrays().items()})
+    src = ForecastModel(8, 4, seed=7)
+    for value, _ in src.fecam.parameters():
+        value += rng.normal(size=value.shape)
+    save_model(tmp_path / "model.json", src)
+    dst, _ = load_model(tmp_path / "model.json")
+    for name, value in src.fecam.state_arrays().items():
+        np.testing.assert_array_equal(dst.fecam.state_arrays()[name], value)
     x = rng.normal(size=(1, 2, 8))
-    np.testing.assert_array_equal(fecam_forward(x, src)[0], fecam_forward(x, dst)[0])
+    np.testing.assert_array_equal(fecam_forward(x, src.fecam)[0], fecam_forward(x, dst.fecam)[0])
 
 
-def test_load_state_shape_mismatch():
-    layer = FecamLayer(8)
-    bad = {k: np.zeros((2, 2)) for k in layer.state_arrays()}
-    with pytest.raises(ValueError):
-        layer.load_state(bad)
+def test_load_state_shape_mismatch(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(path, ForecastModel(8, 4))
+    payload = json.loads(path.read_text())
+    payload["arrays"]["fecam.excite1.weight"] = {"shape": [2, 2], "data": [0.0] * 4}
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="fecam.excite1.weight"):
+        load_model(path)
 
 
 # --- attention export -------------------------------------------------------------------

@@ -278,6 +278,19 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(model_forward(model, x), model_forward(loaded, x))
 
 
+def test_state_array_names_are_pinned():
+    # These names are the checkpoint format; renaming one breaks old model files.
+    cfg = TrainConfig(lookback=16, horizon=8)
+    shapes = {k: v.shape for k, v in build_model(cfg).state_arrays().items()}
+    assert shapes == {
+        "projection.weight": (16, 8), "projection.bias": (8,),
+        "fecam.excite1.weight": (16, 8), "fecam.excite1.bias": (8,),
+        "fecam.excite2.weight": (8, 16), "fecam.excite2.bias": (16,),
+    }
+    assert list(build_model(cfg, with_fecam=False).state_arrays()) == [
+        "projection.weight", "projection.bias"]
+
+
 def test_load_plain_model(tmp_path):
     model = ForecastModel(8, 4, with_fecam=False)
     path = tmp_path / "plain.json"

@@ -16,8 +16,6 @@ from fecam.nncore import (
     adam_step,
     dense_backward,
     dense_forward,
-    elementwise_mul_backward,
-    elementwise_mul_forward,
     grad_check,
     load_checkpoint,
     mse_loss,
@@ -149,41 +147,6 @@ def test_activation_gradient_checks():
 
     assert grad_check(f_relu, [x]) < 1e-4
     assert grad_check(f_sig, [x]) < 1e-4
-
-
-# --- elementwise product ---------------------------------------------------------
-
-def test_mul_by_ones_is_identity():
-    a = np.arange(6.0).reshape(1, 2, 3)
-    np.testing.assert_array_equal(elementwise_mul_forward(a, np.ones_like(a)), a)
-
-
-def test_mul_zero_operand_zeroes_output_and_partner_grad():
-    a = np.zeros((1, 2, 3))
-    b = np.arange(6.0).reshape(1, 2, 3)
-    assert not elementwise_mul_forward(a, b).any()
-    _, db = elementwise_mul_backward(np.ones_like(a), a, b)
-    assert not db.any()
-
-
-def test_mul_shape_mismatch():
-    with pytest.raises(ValueError):
-        elementwise_mul_forward(np.ones((2, 3)), np.ones((3, 2)))
-
-
-def test_mul_gradient_check():
-    rng = np.random.default_rng(13)
-    a = rng.normal(size=(2, 3, 4))
-    b = rng.normal(size=(2, 3, 4))
-    target = rng.normal(size=(2, 3, 4))
-
-    def f():
-        y = elementwise_mul_forward(a, b)
-        loss, dl = mse_loss(y, target)
-        da, db = elementwise_mul_backward(dl, a, b)
-        return loss, [da, db]
-
-    assert grad_check(f, [a, b]) < 1e-4
 
 
 # --- loss -------------------------------------------------------------------------
@@ -370,4 +333,12 @@ def test_checkpoint_rejects_shape_data_mismatch(tmp_path):
     path.write_text('{"format": "fecam-checkpoint", "version": 1, '
                     '"arrays": {"w": {"shape": [2, 2], "data": [1.0, 2.0]}}}')
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_checkpoint_rejects_non_finite_array(tmp_path, bad):
+    path = tmp_path / "bad.json"
+    save_checkpoint(path, {"ok": np.ones(2), "w": np.array([[1.0, bad], [0.0, 2.0]])})
+    with pytest.raises(ValueError, match="'w' contains non-finite"):
         load_checkpoint(path)

@@ -16,7 +16,6 @@ from fecam.spectral import (
     JumpProbe,
     Spectrum,
     boundary_overshoot_compare,
-    dct_basis,
     dct_forward,
     dct_inverse,
     dct_matrix,
@@ -58,23 +57,24 @@ def naive_dft(x):
     return (np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)) @ np.asarray(x, complex)
 
 
-# --- dct_basis --------------------------------------------------------------
+# --- cosine basis entries ------------------------------------------------------
 
 def test_basis_dc_row_is_one():
-    for i in range(8):
-        assert dct_basis(0, i, 8) == 1.0
+    # Entry (l, i) of the bare cosine matrix is cos(pi*l/length * (i + 1/2)).
+    assert np.all(dct_matrix(8, UNNORMALIZED)[0] == 1.0)
 
 
 def test_basis_frozen_values():
-    assert dct_basis(1, 0, 4) == pytest.approx(0.9238795325112867, abs=1e-15)
-    assert dct_basis(2, 1, 4) == pytest.approx(-0.7071067811865475, abs=1e-15)
+    basis = dct_matrix(4, UNNORMALIZED)
+    assert basis.shape == (4, 4)
+    assert basis[1, 0] == pytest.approx(0.9238795325112867, abs=1e-15)
+    assert basis[2, 1] == pytest.approx(-0.7071067811865475, abs=1e-15)
 
 
 def test_basis_index_out_of_range():
-    with pytest.raises(ValueError):
-        dct_basis(4, 0, 4)
-    with pytest.raises(ValueError):
-        dct_basis(0, -1, 4)
+    for length in (0, -1):
+        with pytest.raises(ValueError):
+            dct_matrix(length, UNNORMALIZED)
 
 
 # --- forward / inverse DCT ---------------------------------------------------
@@ -286,16 +286,11 @@ def test_zero_jump_rejected():
         gibbs_overshoot(model, JumpProbe(0.0, 1.0, 1.0), 10)
 
 
-def test_gibbs_sweep_rows_and_csv(tmp_path):
+def test_gibbs_sweep_rows():
     model = square_wave_series(amplitude=1.0, max_order=1000)
-    probe = square_wave_probe(1.0)
-    out = tmp_path / "gibbs.csv"
-    rows = gibbs_sweep(model, probe, [10, 100, 1000], path=out)
+    rows = gibbs_sweep(model, square_wave_probe(1.0), [10, 100, 1000])
     assert [r[0] for r in rows] == [10, 100, 1000]
     assert all(r[2] == pytest.approx(2 * spectral.GIBBS_CONSTANT) for r in rows)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "N,overshoot,target"
-    assert len(lines) == 4
 
 
 # --- truncated reconstruction -------------------------------------------------
@@ -360,14 +355,6 @@ def test_full_truncation_has_no_boundary_error():
     assert dct_err < 1e-9 and dft_err < 1e-9
 
 
-def test_boundary_compare_writes_csv(tmp_path):
-    out = tmp_path / "boundary.csv"
-    boundary_overshoot_compare(np.arange(16.0), 5, path=out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "n,dct_err,dft_err"
-    assert lines[1].startswith("5,")
-
-
 # --- energy compaction ----------------------------------------------------------
 
 def test_compaction_report_on_fixture():
@@ -390,18 +377,6 @@ def test_compaction_full_count_both_zero():
 def test_compaction_single_component_on_constant():
     rows = energy_compaction_report(np.full(16, 2.0), [1])
     assert rows[0][1] < 1e-12 and rows[0][2] < 1e-12
-
-
-def test_compaction_csv_round_trip(tmp_path):
-    out = tmp_path / "compaction.csv"
-    rows = energy_compaction_report(low_frequency_signal(), [5, 10, 15], path=out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "n,dct_err,dft_err"
-    for row, line in zip(rows, lines[1:]):
-        n, dct_err, dft_err = line.split(",")
-        assert int(n) == row[0]
-        assert float(dct_err) == pytest.approx(row[1], rel=1e-8)
-        assert float(dft_err) == pytest.approx(row[2], rel=1e-8)
 
 
 def test_compaction_rejects_empty_ns():
