@@ -164,10 +164,7 @@ def cmd_train(args) -> int:
         early_stop_patience=args.early_stop_patience, lr_decay=args.lr_decay)
     series, splits, _, (train_ds, val_ds, test_ds) = _prepared_windows(
         args, config.lookback, config.horizon)
-
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "dataset.json", series_summary(series, splits))
+    summary = series_summary(series, splits)
     baseline = persistence_report(test_ds)
 
     # A plain run has one arm named "", so its files carry no suffix.
@@ -175,15 +172,20 @@ def cmd_train(args) -> int:
         result = ablation_compare(train_ds, val_ds, test_ds, config)
         arms = [("fecam", result.fecam_model, result.fecam_history, result.fecam_report),
                 ("plain", result.plain_model, result.plain_history, result.plain_report)]
+    else:
+        model, history = train(build_model(config), train_ds, val_ds, config)
+        arms = [("", model, history, evaluate(model, test_ds))]
+
+    # Created only now, so a run that diverged leaves no partial directory.
+    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "dataset.json", summary)
+    if args.ablation:
         _write_json(out / "ablation.json", {
             "fecam_mse": result.fecam_report.mse,
             "plain_mse": result.plain_report.mse,
             "mse_reduction_pct": result.mse_reduction_pct,
         })
-    else:
-        model, history = train(build_model(config), train_ds, val_ds, config)
-        arms = [("", model, history, evaluate(model, test_ds))]
-
     for arm, model, history, report in arms:
         suffix = f"_{arm}" if arm else ""
         payload = _metrics_payload(args, config, report, history,
@@ -279,12 +281,11 @@ def cmd_attention(args) -> int:
         raise ValueError("checkpoint has no attention layer (trained with --ablation plain arm?)")
     _, _, _, (_, _, test_ds) = _prepared_windows(args, model.lookback, model.horizon)
 
+    maps = [fecam_forward(test_ds.inputs[start:start + 256], model.fecam)[1]
+            for start in range(0, test_ds.n_windows, 256)]
+
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    maps = []
-    for start in range(0, test_ds.n_windows, 256):
-        _, att = fecam_forward(test_ds.inputs[start:start + 256], model.fecam)
-        maps.append(att)
     export_attention(np.concatenate(maps, axis=0), out / "attention.csv")
     _write_manifest(out, args, started)
     return 0

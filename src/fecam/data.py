@@ -2,9 +2,14 @@
 
 Covers CSV loading with strict validation, chronological train/val/test
 splitting, per-channel standardization fitted on the training slice only,
-stride-1 sliding-window generation, deterministic synthetic series for
-tests and smoke runs, and the CSV writer every artifact goes through.
-Everything stays in memory; input files are never mutated.
+sliding-window generation, deterministic synthetic series for tests and
+smoke runs, and the CSV writer every artifact goes through. Everything stays
+in memory; input files are never mutated.
+
+CSV value cells are parsed in one numpy conversion with Python's float()
+rules, and missing cells are found and forward-filled with array operations.
+Windows are read-only zero-copy views of the series, so windowing a T x C
+series costs O(T*C) memory, not O(N*C*(L+O)) for N windows.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from datetime import datetime
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 FILL_POLICIES = ("reject", "ffill")
 
@@ -61,6 +67,17 @@ def _parse_timestamp(text: str, line_no: int):
         raise ValueError(f"line {line_no}: unparseable timestamp {text!r}") from None
 
 
+def _raise_unparseable(value_rows, line_numbers, channel_names) -> None:
+    """Name the first cell float() rejects; only runs once bulk parsing failed."""
+    for line_no, cells in zip(line_numbers, value_rows):
+        for name, cell in zip(channel_names, cells):
+            try:
+                float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"line {line_no}: unparseable value {cell!r} in column {name!r}") from None
+
+
 def load_csv(path, date_column: str | int = 0, fill_policy: str = "reject") -> RawSeries:
     """Read a CSV whose rows are (timestamp, value, value, ...).
 
@@ -96,40 +113,35 @@ def load_csv(path, date_column: str | int = 0, fill_policy: str = "reject") -> R
         channel_names = [h for i, h in enumerate(header) if i != ts_index]
 
         timestamps = []
-        rows = []
+        value_rows = []
         line_numbers = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
-            timestamps.append(_parse_timestamp(row[ts_index], line_no))
+            timestamps.append(_parse_timestamp(row.pop(ts_index), line_no))
             line_numbers.append(line_no)
-            values = np.empty(len(channel_names))
-            col = 0
-            for i, cell in enumerate(row):
-                if i == ts_index:
-                    continue
-                cell = cell.strip()
-                missing = cell == ""
-                if not missing:
-                    try:
-                        values[col] = float(cell)
-                    except ValueError:
-                        raise ValueError(
-                            f"line {line_no}: unparseable value {cell!r} "
-                            f"in column {channel_names[col]!r}") from None
-                    missing = np.isnan(values[col])
-                if missing:
-                    if fill_policy == "reject" or not rows:
-                        raise ValueError(
-                            f"line {line_no}: missing value in column {channel_names[col]!r}")
-                    values[col] = rows[-1][col]
-                col += 1
-            rows.append(values)
+            # A blank cell is missing, like NaN; float() ignores surrounding whitespace.
+            value_rows.append([cell.strip() or "nan" for cell in row])
 
-    if not rows:
+    if not value_rows:
         raise ValueError(f"{path}: no data rows")
+    try:
+        observations = np.array(value_rows, dtype=np.float64)
+    except ValueError:
+        _raise_unparseable(value_rows, line_numbers, channel_names)
+        raise
+    missing = np.isnan(observations)
+    if missing.any():
+        row, col = np.argwhere(missing)[0]
+        if fill_policy == "reject" or row == 0:
+            raise ValueError(
+                f"line {line_numbers[row]}: missing value in column {channel_names[col]!r}")
+        # Each cell takes the value of the latest row at or above it that has one.
+        source = np.where(missing, 0, np.arange(len(observations))[:, None])
+        np.maximum.accumulate(source, axis=0, out=source)
+        observations = np.take_along_axis(observations, source, axis=0)
     for line_no, a, b in zip(line_numbers[1:], timestamps, timestamps[1:]):
         if type(a) is not type(b):
             raise ValueError(f"line {line_no}: timestamp type differs from previous rows")
@@ -141,7 +153,6 @@ def load_csv(path, date_column: str | int = 0, fill_policy: str = "reject") -> R
                 "with the previous row") from None
         if not increasing:
             raise ValueError(f"line {line_no}: timestamps not strictly increasing")
-    observations = np.vstack(rows)
     infinite = np.isinf(observations)
     if infinite.any():
         row, col = np.argwhere(infinite)[0]
@@ -251,7 +262,9 @@ def make_windows(series, lookback: int, horizon: int, stride: int = 1) -> Window
     """Slide an L-in / O-out window pair over the series at the given stride.
 
     Each target window starts exactly where its input window ends. At stride
-    1 the pair count is T - L - O + 1.
+    1 the pair count is T - L - O + 1. Inputs and targets are read-only views
+    of the series' observations, so no window is copied; indexing a batch out
+    of them makes the copy.
     """
     observations = series.observations if isinstance(series, RawSeries) else np.asarray(series)
     if lookback < 1 or horizon < 1 or stride < 1:
@@ -260,9 +273,9 @@ def make_windows(series, lookback: int, horizon: int, stride: int = 1) -> Window
     if t < lookback + horizon:
         raise ValueError(
             f"series of length {t} too short for lookback {lookback} + horizon {horizon}")
-    starts = range(0, t - lookback - horizon + 1, stride)
-    inputs = np.stack([observations[s:s + lookback].T for s in starts])
-    targets = np.stack([observations[s + lookback:s + lookback + horizon].T for s in starts])
+    count = t - lookback - horizon + 1
+    inputs = sliding_window_view(observations, lookback, axis=0)[:count:stride]
+    targets = sliding_window_view(observations[lookback:], horizon, axis=0)[::stride]
     return WindowedDataset(inputs, targets, lookback, horizon)
 
 

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from fecam import cli
+from fecam import cli, forecaster
 from fecam.data import synth_series
 from fecam.forecaster import DivergenceError, ForecastModel, save_model
 from fecam.spectral import energy_compaction_report, low_frequency_signal
@@ -128,12 +128,18 @@ def test_train_ablation_writes_both_arms(data_csv, tmp_path):
         assert metrics["persistence_mae"] > 0
 
 
-def test_divergence_maps_to_exit_3(data_csv, tmp_path, monkeypatch):
+def test_divergence_maps_to_exit_3(data_csv, tmp_path, monkeypatch, capsys):
     def explode(*_args, **_kwargs):
         raise DivergenceError("non-finite loss at epoch 0")
 
     monkeypatch.setattr(cli, "train", explode)
-    assert run_train(data_csv, tmp_path / "div") == 3
+    monkeypatch.setattr(forecaster, "train", explode)
+    for extra in ((), ("--ablation",)):
+        out = tmp_path / f"div{len(extra)}"
+        assert run_train(data_csv, out, *extra) == 3
+        err = capsys.readouterr().err
+        assert "non-finite loss" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_env_var_overrides_out_flag(data_csv, tmp_path, monkeypatch):
@@ -265,6 +271,19 @@ def test_attention_runs_are_byte_identical(data_csv, tmp_path):
         assert cli.main(["attention", "--checkpoint", str(ckpt),
                          "--data", str(data_csv), "--out", str(out)]) == 0
     assert (out_a / "attention.csv").read_bytes() == (out_b / "attention.csv").read_bytes()
+
+
+def test_attention_failure_leaves_no_output_directory(data_csv, tmp_path, monkeypatch, capsys):
+    def explode(*_args, **_kwargs):
+        raise ValueError("x contains non-finite values")
+
+    ckpt = make_checkpoint(tmp_path)
+    monkeypatch.setattr(cli, "fecam_forward", explode)
+    out = tmp_path / "x"
+    assert cli.main(["attention", "--checkpoint", str(ckpt), "--data", str(data_csv),
+                     "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_attention_rejects_plain_checkpoint(data_csv, tmp_path):

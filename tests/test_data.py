@@ -1,5 +1,9 @@
 """Tests for dataset loading, splitting, scaling, windowing, and fixtures."""
 
+import csv
+import tracemalloc
+from datetime import datetime
+
 import numpy as np
 import pytest
 
@@ -116,6 +120,94 @@ def test_mixed_naive_and_aware_timestamps_rejected(tmp_path):
     path = write(tmp_path, "date,a\n2020-01-01T00:00,1.0\n2020-01-01T01:00+00:00,2.0\n")
     with pytest.raises(ValueError, match="line 3.*offset-aware"):
         load_csv(path)
+
+
+def reference_load(path, fill_policy):
+    """Per-cell float() loader with load_csv's rules, for files with valid cells.
+
+    Returns (timestamps, observations, None), or (None, None, message) for
+    the first missing cell that the policy cannot fill.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        timestamps, rows = [], []
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                timestamps.append(float(row[0]))
+            except ValueError:
+                timestamps.append(datetime.fromisoformat(row[0]))
+            values = []
+            for col, cell in enumerate(row[1:]):
+                value = float(cell) if cell.strip() else float("nan")
+                if np.isnan(value):
+                    if fill_policy == "reject" or not rows:
+                        return None, None, f"line {line_no}: missing value in column 'ch{col}'"
+                    value = rows[-1][col]
+                values.append(value)
+            rows.append(values)
+    return timestamps, np.array(rows), None
+
+
+def valid_cell(rng, value):
+    """One of several spellings that float() reads back as exactly `value`."""
+    spellings = [repr(value), f"  {value!r} ", f"\t{value!r}", f'"{value!r}"',
+                 f'" {value!r} "', f"{value:+.17e}", f"{value:.17E}"]
+    if value == int(value):
+        n = int(value)
+        spellings += [f"{n}.", f"{n}_0e-1", f"{n:+}e0"]
+        if n == 0:
+            spellings += ["-0", "0_0", "-0."]
+    if 0 < value < 1:
+        spellings.append(repr(value)[1:])  # ".5"
+    return spellings[rng.integers(len(spellings))]
+
+
+MISSING_SPELLINGS = ("", " ", '""', "NaN", "nan", "-nan")
+
+
+def random_csv(rng, rows, channels, kind, holes):
+    if kind == 0:
+        values = rng.normal(size=(rows, channels)) * 10.0
+    elif kind == 1:
+        values = rng.integers(-20, 20, size=(rows, channels)).astype(float)
+    else:
+        values = rng.uniform(0.0, 1.0, size=(rows, channels))
+    iso = bool(rng.integers(2))
+    lines = ["stamp," + ",".join(f"ch{c}" for c in range(channels))]
+    for r in range(rows):
+        cells = [valid_cell(rng, float(v)) for v in values[r]]
+        for c in range(channels):
+            # Whole missing rows, runs down column 0, and scattered cells.
+            if holes and r > 0 and (r % 7 == 3 or (c == 0 and r % 11 in (5, 6, 7))
+                                    or rng.random() < 0.1):
+                cells[c] = MISSING_SPELLINGS[rng.integers(len(MISSING_SPELLINGS))]
+        stamp = (f"2020-01-{1 + r // 24:02d}T{r % 24:02d}:00" if iso
+                 else str(3 * r + rng.integers(3)))
+        lines.append(",".join([stamp, *cells]))
+        if rng.random() < 0.1:
+            lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bulk_parse_matches_per_cell_reference(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    text = random_csv(rng, int(rng.integers(2, 60)), int(rng.integers(1, 5)),
+                      kind=seed % 3, holes=seed % 2)
+    path = write(tmp_path, text)
+    for policy in ("reject", "ffill"):
+        timestamps, observations, message = reference_load(path, policy)
+        if message is not None:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                load_csv(path, fill_policy=policy)
+            continue
+        series = load_csv(path, fill_policy=policy)
+        assert series.timestamps == timestamps
+        assert series.observations.dtype == np.float64
+        assert series.observations.tobytes() == observations.tobytes()
 
 
 def test_ragged_row_rejected(tmp_path):
@@ -287,6 +379,36 @@ def test_window_count_formula_across_sizes():
 def test_stride_reduces_window_count():
     ds = make_windows(make_series(20, 1), 4, 2, stride=3)
     assert ds.n_windows == len(range(0, 20 - 6 + 1, 3))
+
+
+@pytest.mark.parametrize("t, channels, lookback, horizon, stride", [
+    (10, 2, 3, 2, 1), (50, 1, 7, 7, 3), (192, 3, 96, 96, 1), (41, 4, 5, 1, 4), (30, 2, 1, 29, 1),
+])
+def test_windows_are_read_only_views_of_the_series(t, channels, lookback, horizon, stride):
+    series = synth_series("sinusoid_mix", t, channels, noise_std=0.1, seed=t)
+    obs = series.observations
+    starts = range(0, t - lookback - horizon + 1, stride)
+    ds = make_windows(series, lookback, horizon, stride=stride)
+    np.testing.assert_array_equal(ds.inputs, np.stack([obs[s:s + lookback].T for s in starts]))
+    np.testing.assert_array_equal(
+        ds.targets, np.stack([obs[s + lookback:s + lookback + horizon].T for s in starts]))
+    for windows in (ds.inputs, ds.targets):
+        assert np.shares_memory(windows, obs)
+        with pytest.raises(ValueError, match="read-only"):
+            windows[0, 0, 0] = 1.0
+
+
+def test_windowing_an_etth2_sized_series_allocates_no_windows():
+    # 17,420 x 7 at L = O = 96: copied windows would take about 178 MiB.
+    series = synth_series("ramp", 17_420, 7)
+    tracemalloc.start()
+    try:
+        ds = make_windows(series, 96, 96)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.n_windows == 17_420 - 96 - 96 + 1
+    assert peak < 2**20
 
 
 def test_too_short_series_rejected():

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from fecam.data import chronological_split, fit_standardizer, make_windows, synth_series
+from fecam.attention import fecam_forward
+from fecam.data import (
+    WindowedDataset,
+    chronological_split,
+    fit_standardizer,
+    make_windows,
+    synth_series,
+)
 from fecam.forecaster import (
     AblationResult,
     DivergenceError,
@@ -184,7 +191,6 @@ def test_dataset_window_shape_checked():
 def test_perfect_and_biased_predictors():
     model = identity_projection(ForecastModel(4, 4, with_fecam=False))
     x = np.random.default_rng(5).normal(size=(6, 2, 4))
-    from fecam.data import WindowedDataset
     perfect = WindowedDataset(x, x.copy(), 4, 4)
     report = evaluate(model, perfect)
     assert report.mse == 0.0 and report.mae == 0.0
@@ -210,8 +216,28 @@ def test_metrics_invariant_to_batch_partitioning():
     assert full.mae == pytest.approx(chunked.mae, rel=1e-12)
 
 
+@pytest.mark.parametrize("with_fecam", [True, False], ids=["fecam", "plain"])
+def test_window_views_and_contiguous_copies_give_identical_results(with_fecam):
+    train_ds, _, test_ds = tiny_pipeline(lookback=16, horizon=8, channels=3)
+    assert not test_ds.inputs.flags.writeable
+    model = build_model(TrainConfig(lookback=16, horizon=8, seed=3), with_fecam=with_fecam)
+    rng = np.random.default_rng(1)
+    for batch in (test_ds.inputs[5:37], train_ds.inputs[rng.permutation(train_ds.n_windows)[:32]]):
+        copy = np.ascontiguousarray(batch)
+        if with_fecam:
+            for got, want in zip(fecam_forward(batch, model.fecam),
+                                 fecam_forward(copy, model.fecam)):
+                assert got.tobytes() == want.tobytes()
+        assert model_forward(model, batch).tobytes() == model_forward(model, copy).tobytes()
+    contiguous = WindowedDataset(np.ascontiguousarray(test_ds.inputs),
+                                 np.ascontiguousarray(test_ds.targets), 16, 8)
+    for batch_size in (7, 256):
+        got, want = evaluate(model, test_ds, batch_size), evaluate(model, contiguous, batch_size)
+        assert (got.mse, got.mae) == (want.mse, want.mae)
+        assert got.step_mse.tobytes() == want.step_mse.tobytes()
+
+
 def test_persistence_baseline_scores():
-    from fecam.data import WindowedDataset
     x = np.random.default_rng(7).normal(size=(5, 3, 4))
     flat_targets = np.repeat(x[:, :, -1:], 2, axis=2)
     ds = WindowedDataset(x, flat_targets, 4, 2)
