@@ -8,9 +8,9 @@ manifest.json recording the exact invocation, config, seed, library versions
 and wall time next to its outputs, so any result can be reproduced from the
 output directory alone.
 
-Exit codes: 0 success, 1 property failure, 2 usage or config error, 3
-numerical divergence. The FECAM_OUT environment variable, when set, takes
-precedence over --out.
+Exit codes: 0 success, 1 property failure, 2 usage or config error (or an
+input too large for memory), 3 numerical divergence. The FECAM_OUT
+environment variable, when set, takes precedence over --out.
 """
 
 from __future__ import annotations
@@ -68,8 +68,7 @@ from .spectral import (
     square_wave_series,
 )
 
-SPLIT_PRESETS = {"7:2:2": (7.0, 2.0, 2.0), "3:1:1": (3.0, 1.0, 1.0),
-                 "conventional": (0.7, 0.1, 0.2)}
+SPLIT_PRESETS = {"conventional": (0.7, 0.1, 0.2)}
 
 
 def _parse_ratios(text: str):
@@ -77,7 +76,7 @@ def _parse_ratios(text: str):
         return SPLIT_PRESETS[text]
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"split must be a preset {sorted(SPLIT_PRESETS)} or a:b:c, got {text!r}")
+        raise ValueError(f"split must be a:b:c or a preset {sorted(SPLIT_PRESETS)}, got {text!r}")
     return tuple(float(p) for p in parts)
 
 
@@ -362,7 +361,7 @@ def _add_data_flags(parser: argparse.ArgumentParser) -> None:
                         help="timestamp column, by name or index (default: first column)")
     parser.add_argument("--fill-policy", choices=FILL_POLICIES, default="reject")
     parser.add_argument("--split", default="7:2:2",
-                        help="ratio preset (7:2:2, 3:1:1, conventional) or a:b:c")
+                        help="a:b:c ratios (e.g. 7:2:2, 3:1:1) or the preset conventional")
     parser.add_argument("--channel", default=None,
                         help="restrict to one channel by name (univariate run)")
 
@@ -430,6 +429,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: input too large for memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -12,7 +12,6 @@ initialization.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,15 +71,6 @@ class EvalReport:
     mse: float
     mae: float
     step_mse: np.ndarray
-    seconds: float
-
-    def to_dict(self) -> dict:
-        return {
-            "mse": self.mse,
-            "mae": self.mae,
-            "seconds": self.seconds,
-            "step_mse": [float(v) for v in self.step_mse],
-        }
 
 
 class ForecastModel:
@@ -221,7 +211,6 @@ def evaluate(model: ForecastModel, ds: WindowedDataset, batch_size: int = 256) -
     beyond rounding.
     """
     _check_dataset(ds, model, "eval")
-    start_time = time.perf_counter()
     sq_sum = 0.0
     abs_sum = 0.0
     count = 0
@@ -235,20 +224,18 @@ def evaluate(model: ForecastModel, ds: WindowedDataset, batch_size: int = 256) -
         count += diff.size
         step_sq += (diff * diff).sum(axis=(0, 1))
     per_step = step_sq / (ds.n_windows * ds.channels)
-    return EvalReport(mse=sq_sum / count, mae=abs_sum / count, step_mse=per_step,
-                      seconds=time.perf_counter() - start_time)
+    return EvalReport(mse=sq_sum / count, mae=abs_sum / count, step_mse=per_step)
 
 
 def persistence_report(ds: WindowedDataset) -> EvalReport:
     """Score the repeat-last-value baseline on the same metrics."""
     if ds.n_windows < 1:
         raise ValueError("dataset is empty")
-    start_time = time.perf_counter()
     pred = np.repeat(ds.inputs[:, :, -1:], ds.horizon, axis=2)
     diff = pred - ds.targets
     per_step = (diff * diff).sum(axis=(0, 1)) / (ds.n_windows * ds.channels)
     return EvalReport(mse=float(np.mean(diff * diff)), mae=float(np.mean(np.abs(diff))),
-                      step_mse=per_step, seconds=time.perf_counter() - start_time)
+                      step_mse=per_step)
 
 
 @dataclass

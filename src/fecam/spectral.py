@@ -1,10 +1,11 @@
 """Spectral kernels: DCT-II/III, DFT, symmetric extension, Fourier partial
 sums, Gibbs overshoot probes and truncated-reconstruction analysis.
 
-All transforms are plain O(L^2) applications of cached basis matrices.
-Sequence lengths in this project stay small (L <= 720), so the matrices are
-built once per (length, normalization) and reused; there is deliberately no
-fast-transform path. Every function is pure and safe to call concurrently.
+The cosine transform is an O(L^2) product with a cached basis matrix, built
+once per (length, normalization); its inverse applies the same matrix
+transposed. The unitary DFT goes through ``numpy.fft``, so the even-extension
+oracle shares no algorithm with the cosine path. Every function is pure and
+safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -111,21 +112,6 @@ def dct_matrix(length: int, normalization: str = ORTHO) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=64)
-def _idct_matrix(length: int, normalization: str) -> np.ndarray:
-    fwd = dct_matrix(length, normalization)
-    if normalization == ORTHO:
-        inv = fwd.T.copy()
-    else:
-        # Rows of the bare cosine matrix have squared norm L (l=0) and L/2
-        # (l>0), so the inverse is the transpose with those weights undone.
-        weights = np.full(length, 2.0 / length)
-        weights[0] = 1.0 / length
-        inv = fwd.T * weights
-    inv.setflags(write=False)
-    return inv
-
-
 def dct_forward(x, normalization: str = ORTHO) -> Spectrum:
     """Type-II cosine transform of a 1-D signal."""
     x = _as_signal(x)
@@ -140,26 +126,22 @@ def dct_inverse(spectrum: Spectrum) -> np.ndarray:
         raise ValueError("spectrum must hold a nonempty 1-D coefficient vector")
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("spectrum contains non-finite coefficients")
-    return _idct_matrix(coeffs.size, spectrum.normalization) @ coeffs
+    if spectrum.normalization == UNNORMALIZED:
+        # Rows of the bare cosine matrix have squared norm L (l=0) and L/2
+        # (l>0), so the inverse is the transpose with those weights undone.
+        weights = np.full(coeffs.size, 2.0 / coeffs.size)
+        weights[0] = 1.0 / coeffs.size
+        coeffs = coeffs * weights
+    return dct_matrix(coeffs.size, spectrum.normalization).T @ coeffs
 
 
 # ---------------------------------------------------------------------------
 # Fourier transform (unitary convention)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _dft_matrix(length: int, inverse: bool) -> np.ndarray:
-    k = np.arange(length)
-    sign = 2j if inverse else -2j
-    mat = np.exp(sign * np.pi * np.outer(k, k) / length) / np.sqrt(length)
-    mat.setflags(write=False)
-    return mat
-
-
 def dft_forward(x) -> np.ndarray:
     """Unitary DFT of a real 1-D signal; returns the complex bin vector."""
-    x = _as_signal(x)
-    return _dft_matrix(x.size, inverse=False) @ x
+    return np.fft.fft(_as_signal(x), norm="ortho")
 
 
 def dft_inverse(coefficients) -> np.ndarray:
@@ -168,7 +150,7 @@ def dft_inverse(coefficients) -> np.ndarray:
     c = np.asarray(coefficients, dtype=complex)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("coefficients must be a nonempty 1-D sequence")
-    return (_dft_matrix(c.size, inverse=True) @ c).real
+    return np.fft.ifft(c, norm="ortho").real
 
 
 def symmetric_extension(x) -> np.ndarray:
@@ -294,13 +276,9 @@ def reconstruct_truncated(x, n: int, kind: str) -> tuple[np.ndarray, float]:
         recon = dct_inverse(Spectrum(kept, ORTHO))
     elif kind == "dft":
         bins = dft_forward(x)
-        top = (n - 1 + 1) // 2  # ceil((n-1)/2)
-        keep = np.zeros(length, dtype=bool)
-        keep[0] = True
-        for k in range(1, top + 1):
-            keep[k] = True
-            keep[length - k] = True
-        recon = dft_inverse(np.where(keep, bins, 0.0))
+        top = n // 2  # ceil((n-1)/2)
+        bins[top + 1:length - top] = 0.0  # keep bins 0..top and L-top..L-1
+        recon = dft_inverse(bins)
     else:
         raise ValueError(f"unknown transform kind {kind!r}")
     return recon, float(np.linalg.norm(recon - x))

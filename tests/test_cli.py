@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from fecam import cli, forecaster
+from fecam import cli, forecaster, spectral
 from fecam.data import synth_series
 from fecam.forecaster import DivergenceError, ForecastModel, save_model
 from fecam.spectral import energy_compaction_report, low_frequency_signal
@@ -88,6 +88,28 @@ def test_train_bad_config_exits_2(data_csv, tmp_path):
     code = cli.main(["train", "--data", str(data_csv), "--lookback", "33",
                      "--reduction", "2", "--out", str(tmp_path / "x")])
     assert code == 2
+
+
+@pytest.mark.parametrize("split, sizes", [
+    ("7:2:2", (256, 72, 72)),
+    ("3:1:1", (240, 80, 80)),
+    ("conventional", (280, 40, 80)),
+    ("5:3:2", (200, 120, 80)),
+])
+def test_train_split_sizes(data_csv, tmp_path, split, sizes):
+    out = tmp_path / "run"
+    assert cli.main(["train", "--data", str(data_csv), "--lookback", "16", "--horizon", "8",
+                     "--epochs", "1", "--split", split, "--out", str(out)]) == 0
+    dataset = json.loads((out / "dataset.json").read_text())
+    assert dataset["split_sizes"] == dict(zip(("train", "val", "test"), sizes))
+
+
+@pytest.mark.parametrize("split", ["7:2", "7:2:x", "halves", "7:0:2"])
+def test_train_malformed_split_exits_2(data_csv, tmp_path, capsys, split):
+    out = tmp_path / "never"
+    assert run_train(data_csv, out, "--split", split) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_train_does_not_mutate_input(data_csv, tmp_path):
@@ -337,6 +359,21 @@ def test_theorems_detects_injected_round_trip_bug(tmp_path, capsys, monkeypatch)
     assert code == 1
     captured = capsys.readouterr()
     assert "round_trip" in captured.err and "FAIL" in captured.out
+
+
+def test_theorems_out_of_memory_exits_2_without_outputs(tmp_path, capsys, monkeypatch):
+    # Stands in for the basis allocation a very long length would attempt.
+    def no_memory(length, normalization="ortho"):
+        raise MemoryError(f"Unable to allocate {8 * length * length} bytes")
+
+    monkeypatch.setattr(spectral, "dct_matrix", no_memory)
+    out = tmp_path / "thm"
+    assert cli.main(["theorems", "--trials", "5", "--max-len", "100000",
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Unable to allocate" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 def test_theorems_validates_arguments(tmp_path):

@@ -14,7 +14,6 @@ from fecam.data import (
 from fecam.forecaster import (
     AblationResult,
     DivergenceError,
-    EvalReport,
     ForecastModel,
     TrainConfig,
     ablation_compare,
@@ -252,12 +251,6 @@ def test_trained_model_beats_persistence_on_sinusoids():
     cfg = TrainConfig(lookback=16, horizon=8, lr=3e-3, epochs=10, lr_decay=1.0)
     model, _ = train(build_model(cfg), train_ds, val_ds, cfg)
     assert evaluate(model, test_ds).mse < persistence_report(test_ds).mse
-
-
-def test_report_serializes():
-    report = EvalReport(mse=0.5, mae=0.3, step_mse=np.array([0.4, 0.6]), seconds=1.5)
-    payload = report.to_dict()
-    assert payload["mse"] == 0.5 and payload["step_mse"] == [0.4, 0.6]
 
 
 # --- ablation -------------------------------------------------------------------------

@@ -5,6 +5,8 @@ implementations at the top of this file (plain trigonometric sums, no shared
 code with the module under test).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -51,10 +53,36 @@ def naive_dct(x, normalization):
     return out
 
 
-def naive_dft(x):
-    n = len(x)
+# The sums below stay accurate at long lengths: each angle's integer part is
+# reduced modulo one period before it is scaled, so no angle exceeds 2*pi.
+
+def naive_dft(values, sign=-1):
+    """Unitary DFT (sign -1) or inverse DFT (sign +1) as an O(L^2) sum."""
+    n = len(values)
     k = np.arange(n)
-    return (np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)) @ np.asarray(x, complex)
+    phase = np.exp(sign * 2j * np.pi * (np.outer(k, k) % n) / n)
+    return phase @ np.asarray(values, complex) / np.sqrt(n)
+
+
+def naive_idct(coeffs, normalization):
+    """x_i = sum_l w_l f_l cos(pi*l*(2i+1)/(2L)), the inverse of each scale."""
+    n = len(coeffs)
+    k = np.arange(n)
+    angle = np.pi * (np.outer(2 * k + 1, k) % (4 * n)) / (2 * n)
+    if normalization == ORTHO:
+        weights = np.full(n, np.sqrt(2.0 / n))
+        weights[0] = np.sqrt(1.0 / n)
+    else:
+        weights = np.full(n, 2.0 / n)
+        weights[0] = 1.0 / n
+    return np.cos(angle) @ (weights * coeffs)
+
+
+def assert_pinned(got, ref):
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
+PIN_LENGTHS = (1, 2, 3, 16, 97, 720, 1440)
 
 
 # --- cosine basis entries ------------------------------------------------------
@@ -108,6 +136,16 @@ def test_forward_rejects_empty_and_nonfinite():
         dct_forward([1.0, np.nan])
     with pytest.raises(ValueError):
         dct_forward([1.0], "banana")
+
+
+@pytest.mark.parametrize("normalization", [ORTHO, UNNORMALIZED])
+@pytest.mark.parametrize("length", PIN_LENGTHS)
+def test_inverse_matches_plain_sum_and_keeps_coefficients(length, normalization):
+    rng = np.random.default_rng(length)
+    spectrum = Spectrum(rng.normal(size=length) * 10.0, normalization)
+    before = spectrum.coefficients.copy()
+    assert_pinned(dct_inverse(spectrum), naive_idct(before, normalization))
+    np.testing.assert_array_equal(spectrum.coefficients, before)
 
 
 def test_inverse_of_constant_spectrum():
@@ -181,6 +219,15 @@ def test_dft_round_trip_and_naive_agreement():
         bins = dft_forward(x)
         np.testing.assert_allclose(bins, naive_dft(x), atol=1e-10)
         np.testing.assert_allclose(dft_inverse(bins), x, atol=1e-9)
+
+
+@pytest.mark.parametrize("length", PIN_LENGTHS)
+def test_dft_pair_matches_plain_sums(length):
+    rng = np.random.default_rng(length)
+    x = rng.normal(size=length)
+    assert_pinned(dft_forward(x), naive_dft(x))
+    bins = rng.normal(size=length) + 1j * rng.normal(size=length)
+    assert_pinned(dft_inverse(bins), naive_dft(bins, +1).real)
 
 
 def test_dft_rejects_empty():
@@ -325,6 +372,32 @@ def test_component_count_out_of_range():
         reconstruct_truncated(np.ones(8), 9, "dft")
     with pytest.raises(ValueError):
         reconstruct_truncated(np.ones(8), 4, "wavelet")
+
+
+@pytest.mark.parametrize("length", [7, 8])
+def test_dft_truncation_keeps_dc_and_lowest_bin_pairs(length, monkeypatch):
+    # Every n at an odd and an even length (whose Nyquist bin has no pair),
+    # against the kept-bin mask built one bin pair at a time.
+    passed = []
+    inverse = spectral.dft_inverse
+
+    def spy(bins):
+        passed.append(np.array(bins))
+        return inverse(bins)
+
+    monkeypatch.setattr(spectral, "dft_inverse", spy)
+    x = np.random.default_rng(31).normal(size=length)
+    bins = dft_forward(x)
+    for n in range(1, length + 1):
+        keep = np.zeros(length, dtype=bool)
+        keep[0] = True
+        for k in range(1, math.ceil((n - 1) / 2) + 1):
+            keep[k] = True
+            keep[length - k] = True
+        expected = np.where(keep, bins, 0.0)
+        recon, _ = reconstruct_truncated(x, n, "dft")
+        np.testing.assert_array_equal(passed.pop(), expected)
+        np.testing.assert_array_equal(recon, inverse(expected))
 
 
 def test_dft_truncation_output_is_real_for_random_input():
