@@ -189,12 +189,15 @@ def fecam_backward(upstream, block: Excitation, cache: dict) -> np.ndarray:
     return d_x
 
 
-def export_attention(att, path) -> np.ndarray:
-    """Write the batch-averaged attention map as a frequency-by-channel CSV.
+def export_attention(mean_att, path) -> np.ndarray:
+    """Write a window-averaged (C, L) attention map as a frequency-by-channel CSV.
 
     Rows run from the lowest frequency index to the highest; one column per
-    channel. Returns the averaged (L, C) matrix that was written.
+    channel. Returns the (L, C) matrix that was written.
     """
-    heatmap = _check_tensor3(att, "att").mean(axis=0).T  # (L, C)
+    mean_att = np.asarray(mean_att, dtype=np.float64)
+    if mean_att.ndim != 2:
+        raise ValueError(f"mean_att must have shape (channels, length), got {mean_att.shape}")
+    heatmap = mean_att.T
     write_csv(path, [f"channel_{c}" for c in range(heatmap.shape[1])], heatmap)
     return heatmap

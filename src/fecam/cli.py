@@ -213,6 +213,8 @@ def cmd_gibbs(args) -> int:
     orders = _parse_int_list(args.orders)
     if any(n < 1 for n in orders):
         raise ValueError("orders must be >= 1")
+    if not np.isfinite(args.amplitude):
+        raise ValueError(f"amplitude must be finite, got {args.amplitude}")
     if args.wave == "sine":
         raise ValueError("a sine wave has no jump discontinuity, so there is "
                          "no overshoot to measure; use square or pulse")
@@ -226,6 +228,8 @@ def cmd_gibbs(args) -> int:
 
     started = time.perf_counter()
     rows = gibbs_sweep(model, probe, orders)
+    if not np.all(np.isfinite(rows)):
+        raise ValueError(f"amplitude {args.amplitude} overflows the overshoot sweep")
     xs = np.linspace(0.0, model.period, args.curve_points, endpoint=False)
     curves = {order: zip(xs, _sample_curve(model, order, xs)) for order in orders}
 
@@ -246,6 +250,8 @@ def cmd_gibbs(args) -> int:
 
 def cmd_compaction(args) -> int:
     components = _parse_int_list(args.components)
+    if args.length < 1:
+        raise ValueError(f"length must be >= 1, got {args.length}")
     if args.signal == "fixture":
         signal = low_frequency_signal(args.length)
     else:
@@ -280,12 +286,14 @@ def cmd_attention(args) -> int:
         raise ValueError("checkpoint has no attention layer (trained with --ablation plain arm?)")
     _, _, _, (_, _, test_ds) = _prepared_windows(args, model.lookback, model.horizon)
 
-    maps = [fecam_forward(test_ds.inputs[start:start + 256], model.fecam)[1]
-            for start in range(0, test_ds.n_windows, 256)]
+    # Summed batch by batch, so only one batch's map is held at a time.
+    total = np.zeros(test_ds.inputs.shape[1:])
+    for start in range(0, test_ds.n_windows, 256):
+        total += fecam_forward(test_ds.inputs[start:start + 256], model.fecam)[1].sum(axis=0)
 
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    export_attention(np.concatenate(maps, axis=0), out / "attention.csv")
+    export_attention(total / test_ds.n_windows, out / "attention.csv")
     _write_manifest(out, args, started)
     return 0
 

@@ -7,7 +7,8 @@ smoke runs, and the CSV writer every artifact goes through. Everything stays
 in memory; input files are never mutated.
 
 CSV value cells are parsed in one numpy conversion with Python's float()
-rules, and missing cells are found and forward-filled with array operations.
+rules (a second, stripping pass runs only when a cell is blank), and missing
+cells are found and forward-filled with array operations.
 Windows are read-only zero-copy views of the series, so windowing a T x C
 series costs O(T*C) memory, not O(N*C*(L+O)) for N windows.
 """
@@ -57,14 +58,17 @@ class RawSeries:
 
 def _parse_timestamp(text: str, line_no: int):
     text = text.strip()
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    try:
-        return datetime.fromisoformat(text)
-    except ValueError:
-        raise ValueError(f"line {line_no}: unparseable timestamp {text!r}") from None
+    # float() takes '-' only as a leading sign or right after an exponent's
+    # 'e', and never ':', so text marked this way can only be ISO: skip the
+    # float attempt. Everything else tries float first, so text both parsers
+    # accept (20160701) stays a number.
+    iso_only = ":" in text or ("-" in text[1:] and "e-" not in text and "E-" not in text)
+    for parse in (datetime.fromisoformat,) if iso_only else (float, datetime.fromisoformat):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    raise ValueError(f"line {line_no}: unparseable timestamp {text!r}")
 
 
 def _raise_unparseable(value_rows, line_numbers, channel_names) -> None:
@@ -122,16 +126,21 @@ def load_csv(path, date_column: str | int = 0, fill_policy: str = "reject") -> R
                 raise ValueError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
             timestamps.append(_parse_timestamp(row.pop(ts_index), line_no))
             line_numbers.append(line_no)
-            # A blank cell is missing, like NaN; float() ignores surrounding whitespace.
-            value_rows.append([cell.strip() or "nan" for cell in row])
+            value_rows.append(row)
 
     if not value_rows:
         raise ValueError(f"{path}: no data rows")
+    # The conversion follows float(), which ignores surrounding whitespace, so
+    # only blank cells make it fail on valid input; they are missing, like NaN.
     try:
         observations = np.array(value_rows, dtype=np.float64)
     except ValueError:
-        _raise_unparseable(value_rows, line_numbers, channel_names)
-        raise
+        value_rows = [[cell.strip() or "nan" for cell in row] for row in value_rows]
+        try:
+            observations = np.array(value_rows, dtype=np.float64)
+        except ValueError:
+            _raise_unparseable(value_rows, line_numbers, channel_names)
+            raise
     missing = np.isnan(observations)
     if missing.any():
         row, col = np.argwhere(missing)[0]

@@ -12,6 +12,7 @@ initialization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,9 @@ class TrainConfig:
     lr_decay: float = 0.5
 
     def __post_init__(self):
+        for name in ("lr", "lr_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         positive = {
             "lookback": self.lookback, "horizon": self.horizon,
             "reduction": self.reduction, "batch_size": self.batch_size,
@@ -291,8 +295,12 @@ def load_model(path) -> tuple[ForecastModel, dict]:
     for key in ("lookback", "horizon", "reduction", "with_fecam"):
         if key not in meta:
             raise ValueError(f"checkpoint meta missing {key!r}")
-    model = ForecastModel(int(meta["lookback"]), int(meta["horizon"]),
-                          int(meta["reduction"]), with_fecam=bool(meta["with_fecam"]))
+    try:
+        sizes = [int(meta[key]) for key in ("lookback", "horizon", "reduction")]
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(
+            "checkpoint meta lookback, horizon and reduction must be integers") from None
+    model = ForecastModel(*sizes, with_fecam=bool(meta["with_fecam"]))
     for name, target in model.state_arrays().items():
         if name not in arrays:
             raise ValueError(f"checkpoint missing array {name!r}")

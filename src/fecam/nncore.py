@@ -11,6 +11,7 @@ step.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -220,20 +221,35 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint written by save_checkpoint; returns (arrays, meta).
 
-    Arrays holding NaN or infinity are rejected, naming the array.
+    Every malformed part raises ValueError: a payload, `arrays` or `meta`
+    that is not an object, an entry without a list `shape` of non-negative
+    ints and a list `data` of numbers, and arrays holding NaN or infinity,
+    naming the array.
     """
     payload = json.loads(Path(path).read_text())
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
+    entries = payload.get("arrays")
+    meta = payload.get("meta", {})
+    if not isinstance(entries, dict) or not isinstance(meta, dict):
+        raise ValueError(f"{path}: checkpoint 'arrays' and 'meta' must be JSON objects")
     arrays = {}
-    for name, entry in payload["arrays"].items():
-        shape = tuple(entry["shape"])
-        data = np.asarray(entry["data"], dtype=np.float64)
-        if data.size != int(np.prod(shape, dtype=np.int64)):
+    for name, entry in entries.items():
+        shape = entry.get("shape") if isinstance(entry, dict) else None
+        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
+                and isinstance(entry.get("data"), list)):
+            raise ValueError(f"array {name!r}: need a list 'shape' of non-negative ints "
+                             "and a list 'data'")
+        shape = tuple(shape)
+        try:
+            data = np.asarray(entry["data"], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(f"array {name!r}: data must be a list of numbers") from None
+        if data.size != math.prod(shape):
             raise ValueError(f"array {name!r}: data length does not match shape {shape}")
         if not np.all(np.isfinite(data)):
             raise ValueError(f"array {name!r} contains non-finite values")
         arrays[name] = data.reshape(shape)
-    return arrays, payload.get("meta", {})
+    return arrays, meta

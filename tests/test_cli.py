@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 
 from fecam import cli, forecaster, spectral
-from fecam.data import synth_series
+from fecam.data import (
+    chronological_split,
+    fit_standardizer,
+    load_csv,
+    make_windows,
+    synth_series,
+)
 from fecam.forecaster import DivergenceError, ForecastModel, save_model
 from fecam.spectral import energy_compaction_report, low_frequency_signal
 
@@ -40,6 +46,15 @@ def run_train(data_csv, out, *extra):
     return cli.main([
         "train", "--data", str(data_csv), "--lookback", "32", "--horizon", "16",
         "--epochs", "2", "--lr", "1e-3", "--seed", "5", "--out", str(out), *extra])
+
+
+def assert_input_error(argv, out, capsys) -> str:
+    """Run argv, expect exit 2 with no traceback and no output directory; return stderr."""
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+    return err
 
 
 # --- train -----------------------------------------------------------------------
@@ -110,6 +125,16 @@ def test_train_malformed_split_exits_2(data_csv, tmp_path, capsys, split):
     assert run_train(data_csv, out, "--split", split) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"),
+                                         ("--lr-decay", "inf"), ("--lr-decay", "nan")])
+def test_train_non_finite_rate_names_the_flag(data_csv, tmp_path, capsys, flag, value):
+    argv = ["train", "--data", str(data_csv), "--lookback", "32", "--horizon", "16",
+            "--epochs", "1", flag, value]
+    err = assert_input_error(argv, tmp_path / "never", capsys)
+    field = flag[2:].replace("-", "_")
+    assert f"{field} must be finite, got {float(value)}" in err
 
 
 def test_train_does_not_mutate_input(data_csv, tmp_path):
@@ -218,6 +243,22 @@ def test_gibbs_zero_amplitude_exits_2_without_outputs(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("amplitude", ["nan", "inf", "-inf", "1e308"])
+def test_gibbs_non_finite_or_overflowing_amplitude_exits_2(tmp_path, capsys, amplitude):
+    err = assert_input_error(["gibbs", f"--amplitude={amplitude}"], tmp_path / "x", capsys)
+    assert "amplitude" in err
+
+
+def test_gibbs_json_is_strict(tmp_path):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    out = tmp_path / "gibbs"
+    assert cli.main(["gibbs", "--out", str(out)]) == 0
+    payload = json.loads((out / "gibbs.json").read_text(), parse_constant=reject)
+    assert len(payload["rows"]) == 4
+
+
 # --- compaction --------------------------------------------------------------------
 
 def test_compaction_fixture_table_and_reconstructions(tmp_path):
@@ -262,6 +303,13 @@ def test_compaction_ramp_writes_boundary_report(tmp_path):
 def test_compaction_rejects_out_of_range_components(tmp_path):
     assert cli.main(["compaction", "--components", "17",
                      "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("argv", [["--length", "0"], ["--length", "-3"],
+                                  ["--signal", "ramp", "--length", "0"]])
+def test_compaction_non_positive_length_exits_2(tmp_path, capsys, argv):
+    err = assert_input_error(["compaction", *argv], tmp_path / "x", capsys)
+    assert "length must be >= 1" in err
 
 
 # --- attention -----------------------------------------------------------------------
@@ -333,6 +381,91 @@ def test_attention_rejects_too_short_data(tmp_path):
     short.write_text("time,a\n" + "\n".join(f"{t},{t * 0.5}" for t in range(30)) + "\n")
     assert cli.main(["attention", "--checkpoint", str(ckpt), "--data", str(short),
                      "--out", str(tmp_path / "x")]) == 2
+
+
+def test_streamed_attention_mean_matches_concatenated_mean(tmp_path, monkeypatch):
+    # 1,400 rows split 1:1:2 leave 700 test rows: 653 windows of 32 + 16, so
+    # batches of 256, 256 and 141.
+    series = synth_series("sinusoid_mix", 1400, 3, noise_std=0.1, seed=8)
+    path = tmp_path / "long.csv"
+    path.write_text("time," + ",".join(series.channel_names) + "\n" + "".join(
+        f"{t}," + ",".join(f"{v:.6f}" for v in row) + "\n"
+        for t, row in zip(series.timestamps, series.observations)))
+    ckpt = make_checkpoint(tmp_path)
+    batches, written = [], []
+    forward, export = cli.fecam_forward, cli.export_attention
+
+    def spy_forward(x, block):
+        batches.append(x.shape[0])
+        return forward(x, block)
+
+    def spy_export(mean_att, csv_path):
+        written.append(export(mean_att, csv_path))
+        return written[-1]
+
+    monkeypatch.setattr(cli, "fecam_forward", spy_forward)
+    monkeypatch.setattr(cli, "export_attention", spy_export)
+    out = tmp_path / "att"
+    assert cli.main(["attention", "--checkpoint", str(ckpt), "--data", str(path),
+                     "--split", "1:1:2", "--out", str(out)]) == 0
+    assert batches == [256, 256, 141]
+
+    # The reference is the concatenate-then-mean over the same batches.
+    model, _ = forecaster.load_model(ckpt)
+    loaded = load_csv(path)
+    splits = chronological_split(loaded, (1, 1, 2), min_slice_len=48)
+    test_ds = make_windows(fit_standardizer(splits[0]).apply(splits[2]), 32, 16)
+    maps = [forward(test_ds.inputs[start:start + 256], model.fecam)[1]
+            for start in range(0, test_ds.n_windows, 256)]
+    reference = np.concatenate(maps, axis=0).mean(axis=0).T
+    assert float(np.max(np.abs(written[0] - reference))) <= 1e-12
+    rows = np.loadtxt(out / "attention.csv", delimiter=",", skiprows=1)
+    np.testing.assert_allclose(rows, reference, rtol=1e-8)
+
+
+DROP = object()
+
+
+def edited(payload, keys, value):
+    """payload with the entry at the key path set to value (DROP deletes it)."""
+    if not keys:
+        return value
+    target = payload
+    for key in keys[:-1]:
+        target = target[key]
+    if value is DROP:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value
+    return payload
+
+
+BIAS = ("arrays", "projection.bias")
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    ((), [1, 2], "not a fecam-checkpoint file"),
+    (("arrays",), DROP, "'arrays' and 'meta' must be JSON objects"),
+    (("arrays",), [], "'arrays' and 'meta' must be JSON objects"),
+    (("meta",), [1], "'arrays' and 'meta' must be JSON objects"),
+    (("arrays", "x"), [1.0], "need a list 'shape'"),
+    ((*BIAS, "data"), DROP, "and a list 'data'"),
+    ((*BIAS, "data"), "abc", "and a list 'data'"),
+    ((*BIAS, "data"), [{}] * 16, "data must be a list of numbers"),
+    ((*BIAS, "shape"), DROP, "need a list 'shape'"),
+    ((*BIAS, "shape"), 16, "need a list 'shape'"),
+    ((*BIAS, "shape"), [-16], "need a list 'shape'"),
+    ((*BIAS, "shape"), [16.0], "need a list 'shape'"),
+    ((*BIAS, "shape"), [2 ** 70], "does not match shape"),
+    (("meta", "lookback"), [32], "meta lookback, horizon and reduction must be integers"),
+], ids=["top-level-list", "no-arrays", "arrays-list", "meta-list", "entry-list",
+        "no-data", "data-string", "data-objects", "no-shape", "shape-int", "shape-negative",
+        "shape-float", "shape-huge", "meta-lookback-list"])
+def test_attention_malformed_checkpoint_exits_2(data_csv, tmp_path, capsys, keys, value, message):
+    ckpt = make_checkpoint(tmp_path)
+    ckpt.write_text(json.dumps(edited(json.loads(ckpt.read_text()), keys, value)))
+    argv = ["attention", "--checkpoint", str(ckpt), "--data", str(data_csv)]
+    assert message in assert_input_error(argv, tmp_path / "x", capsys)
 
 
 # --- theorems -------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for dataset loading, splitting, scaling, windowing, and fixtures."""
 
 import csv
+import sys
 import tracemalloc
 from datetime import datetime
 
@@ -10,6 +11,7 @@ import pytest
 from fecam.data import (
     RawSeries,
     Standardizer,
+    _parse_timestamp,
     chronological_split,
     fit_standardizer,
     load_csv,
@@ -120,6 +122,48 @@ def test_mixed_naive_and_aware_timestamps_rejected(tmp_path):
     path = write(tmp_path, "date,a\n2020-01-01T00:00,1.0\n2020-01-01T01:00+00:00,2.0\n")
     with pytest.raises(ValueError, match="line 3.*offset-aware"):
         load_csv(path)
+
+
+@pytest.mark.parametrize("text", ["20160701", " 20160701 ", "0", "-5", "1e-05", "1E-05",
+                                  "1467331200.5"])
+def test_numeric_timestamps_stay_floats(text):
+    # 20160701 is also a date to fromisoformat; numeric text must win.
+    stamp = _parse_timestamp(text, 2)
+    assert type(stamp) is float and stamp == float(text)
+
+
+@pytest.mark.parametrize("text", [
+    "2016-07-01", "2016-07-01 01:00:00", "2016-07-01T01:00:00+00:00",
+    pytest.param("20160701T010000", marks=pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="fromisoformat reads the basic format from 3.11")),
+])
+def test_iso_timestamps_match_fromisoformat(text):
+    stamp = _parse_timestamp(f" {text} ", 2)
+    assert type(stamp) is datetime and stamp == datetime.fromisoformat(text)
+
+
+@pytest.mark.parametrize("text", ["2016-13-01", "abc", "1e-0x"])
+def test_unparseable_timestamp_message(text):
+    with pytest.raises(ValueError, match=f"^line 7: unparseable timestamp {text!r}$"):
+        _parse_timestamp(text, 7)
+
+
+@pytest.mark.parametrize("policy", ["reject", "ffill"])
+def test_whitespace_around_cells_loads_the_same_array(tmp_path, policy):
+    # The blank cell in row 3 only makes the ffill file take the second, stripping pass.
+    rows = [["0", "1.5", "-2"], ["1", "2.25", "3e2"], ["2", "", "4"]]
+    if policy == "reject":
+        rows[2][1] = "7"
+    pads = [(" ", " "), ("\t", ""), ("", "  "), ("\xa0", "\u2003")]
+    plain = "time,a,b\n" + "".join(",".join(r) + "\n" for r in rows)
+    padded = "time,a,b\n" + "".join(
+        ",".join([r[0]] + [f"{pads[(i + j) % 4][0]}{c}{pads[(i + j) % 4][1]}"
+                           for j, c in enumerate(r[1:])]) + "\n"
+        for i, r in enumerate(rows))
+    expected = load_csv(write(tmp_path, plain, "plain.csv"), fill_policy=policy)
+    series = load_csv(write(tmp_path, padded, "padded.csv"), fill_policy=policy)
+    assert series.observations.tobytes() == expected.observations.tobytes()
+    assert series.timestamps == expected.timestamps
 
 
 def reference_load(path, fill_policy):

@@ -431,7 +431,7 @@ def test_load_state_shape_mismatch(tmp_path):
 def test_export_uniform_attention(tmp_path):
     att = np.full((3, 2, 4), 0.5)
     path = tmp_path / "att.csv"
-    heatmap = export_attention(att, path)
+    heatmap = export_attention(att.mean(axis=0), path)
     np.testing.assert_array_equal(heatmap, np.full((4, 2), 0.5))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "channel_0,channel_1"
@@ -441,7 +441,7 @@ def test_export_uniform_attention(tmp_path):
 def test_export_shape_contract(tmp_path):
     att = np.random.default_rng(47).uniform(0.1, 0.9, size=(5, 7, 96))
     path = tmp_path / "att.csv"
-    export_attention(att, path)
+    export_attention(att.mean(axis=0), path)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 97  # header + one row per frequency
     assert all(len(line.split(",")) == 7 for line in lines)
@@ -451,7 +451,14 @@ def test_export_round_trip_precision(tmp_path):
     rng = np.random.default_rng(53)
     att = rng.uniform(1e-4, 1.0 - 1e-4, size=(4, 3, 8))
     path = tmp_path / "att.csv"
-    heatmap = export_attention(att, path)
+    heatmap = export_attention(att.mean(axis=0), path)
     reread = np.loadtxt(path, delimiter=",", skiprows=1)
     np.testing.assert_allclose(reread, heatmap, atol=1e-6)
     np.testing.assert_allclose(heatmap, att.mean(axis=0).T, atol=1e-15)
+
+
+def test_export_rejects_unaveraged_map(tmp_path):
+    path = tmp_path / "att.csv"
+    with pytest.raises(ValueError, match="channels, length"):
+        export_attention(np.full((3, 2, 4), 0.5), path)
+    assert not path.exists()
