@@ -31,10 +31,16 @@ from .spectral import ORTHO, dct_matrix
 
 
 def _check_tensor3(x, name: str = "x") -> np.ndarray:
+    """x as a C-contiguous float64 (batch, channels, length) array.
+
+    Batches gathered from sliding-window views are strided along the length
+    axis; one copy here makes every later reshape to (batch*channels, length)
+    a view and every elementwise pass run over contiguous memory.
+    """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError(f"{name} must have shape (batch, channels, length), got {arr.shape}")
-    return arr
+    return np.ascontiguousarray(arr)
 
 
 def _check_input(x, block: Excitation, axis: int) -> np.ndarray:
@@ -85,15 +91,20 @@ class Excitation:
 
 
 def _excite(z1: np.ndarray, block: Excitation) -> tuple[np.ndarray, np.ndarray]:
-    """The shared middle after the first dense layer; returns (h1, att)."""
-    h1 = relu_forward(z1)
-    return h1, sigmoid_forward(h1 @ block.excite2.weight + block.excite2.bias)
+    """The shared middle after the first dense layer; returns (h1, att).
+
+    The ReLU overwrites z1, which must be a fresh array nothing else holds.
+    """
+    h1 = relu_forward(z1, out=z1)
+    z2 = h1 @ block.excite2.weight
+    z2 += block.excite2.bias
+    return h1, sigmoid_forward(z2)
 
 
-def _excite_backward(d_att, block: Excitation, z1, h1, att) -> np.ndarray:
+def _excite_backward(d_att, block: Excitation, h1, att) -> np.ndarray:
     """Reverse of _excite; accumulates excite2's grads and returns d_z1."""
     d_h1 = dense_backward(block.excite2, sigmoid_backward(d_att, att), h1)
-    return relu_backward(d_h1, z1)
+    return relu_backward(d_h1, h1)
 
 
 def gap(x) -> np.ndarray:
@@ -105,11 +116,12 @@ def se_attention(x, block: Excitation, cache: dict | None = None) -> tuple[np.nd
     """Channel attention from squeezed means; returns (weights (B, C), rescaled x)."""
     x = _check_input(x, block, 1)
     squeezed = gap(x)
-    z1 = squeezed @ block.excite1.weight + block.excite1.bias
+    z1 = squeezed @ block.excite1.weight
+    z1 += block.excite1.bias
     h1, att = _excite(z1, block)
     out = x * att[:, :, None]
     if cache is not None:
-        cache.update(x=x, squeezed=squeezed, z1=z1, h1=h1, att=att)
+        cache.update(x=x, squeezed=squeezed, h1=h1, att=att)
     return att, out
 
 
@@ -120,7 +132,7 @@ def se_attention_backward(upstream, block: Excitation, cache: dict) -> np.ndarra
     upstream = np.asarray(upstream, dtype=np.float64)
     x, att = cache["x"], cache["att"]
     d_x = upstream * att[:, :, None]
-    d_z1 = _excite_backward((upstream * x).sum(axis=2), block, cache["z1"], cache["h1"], att)
+    d_z1 = _excite_backward((upstream * x).sum(axis=2), block, cache["h1"], att)
     d_squeezed = dense_backward(block.excite1, d_z1, cache["squeezed"])
     d_x += d_squeezed[:, :, None] / x.shape[2]
     return d_x
@@ -157,12 +169,13 @@ def fecam_forward(x, block: Excitation, cache: dict | None = None) -> tuple[np.n
     """
     x = _check_input(x, block, 2)
     folded = dct_matrix(block.size, ORTHO).T @ block.excite1.weight
-    z1 = x.reshape(-1, block.size) @ folded + block.excite1.bias
+    z1 = x.reshape(-1, block.size) @ folded
+    z1 += block.excite1.bias
     h1, att = _excite(z1, block)
     att = att.reshape(x.shape)
     out = x * att
     if cache is not None:
-        cache.update(x=x, folded=folded, z1=z1, h1=h1, att=att)
+        cache.update(x=x, folded=folded, h1=h1, att=att)
     return out, att
 
 
@@ -180,8 +193,8 @@ def fecam_backward(upstream, block: Excitation, cache: dict) -> np.ndarray:
     if upstream.shape != x.shape:
         raise ValueError(f"upstream shape {upstream.shape} != input shape {x.shape}")
     rows = x.reshape(-1, block.size)
-    d_z1 = _excite_backward((upstream * x).reshape(rows.shape), block, cache["z1"],
-                            cache["h1"], att.reshape(rows.shape))
+    d_z1 = _excite_backward((upstream * x).reshape(rows.shape), block, cache["h1"],
+                            att.reshape(rows.shape))
     block.excite1.weight_grad += dct_matrix(block.size, ORTHO) @ (rows.T @ d_z1)
     block.excite1.bias_grad += d_z1.sum(axis=0)
     d_x = (d_z1 @ cache["folded"].T).reshape(x.shape)

@@ -83,6 +83,11 @@ class ForecastModel:
     The seed feeds two independent generator streams, so the projection's
     initialization is identical whether or not the attention layer exists —
     ablation arms start from the same projection weights.
+
+    Once drawn, every weight and bias moves into one flat `values` vector,
+    with a matching `grads` vector, in the order projection weight and bias,
+    then excite1's and excite2's; the layers' arrays become views into them.
+    The optimizer, zero_grad and best-epoch snapshots each handle one array.
     """
 
     def __init__(self, lookback: int, horizon: int, reduction: int = 2,
@@ -93,17 +98,26 @@ class ForecastModel:
         self.projection = DenseLayer(lookback, horizon, np.random.default_rng([seed, 0]))
         self.fecam = (Excitation(lookback, reduction, np.random.default_rng([seed, 1]))
                       if with_fecam else None)
+        layers = [self.projection]
+        if self.fecam is not None:
+            layers += [self.fecam.excite1, self.fecam.excite2]
+        self.values = np.concatenate([p.ravel() for layer in layers for p, _ in layer.parameters()])
+        self.grads = np.zeros_like(self.values)
+        offset = 0
+        for layer in layers:
+            for name in ("weight", "bias"):
+                shape = getattr(layer, name).shape
+                stop = offset + math.prod(shape)
+                setattr(layer, name, self.values[offset:stop].reshape(shape))
+                setattr(layer, f"{name}_grad", self.grads[offset:stop].reshape(shape))
+                offset = stop
 
     def parameters(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        params = self.projection.parameters()
-        if self.fecam is not None:
-            params += self.fecam.parameters()
-        return params
+        """The single (values, grads) pair every layer's parameters live in."""
+        return [(self.values, self.grads)]
 
     def zero_grad(self) -> None:
-        self.projection.zero_grad()
-        if self.fecam is not None:
-            self.fecam.zero_grad()
+        self.grads.fill(0.0)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         arrays = {"projection.weight": self.projection.weight,
@@ -164,13 +178,11 @@ def train(model: ForecastModel, train_ds: WindowedDataset, val_ds: WindowedDatas
     """
     _check_dataset(train_ds, model, "train")
     _check_dataset(val_ds, model, "val")
-    params = [p for p, _ in model.parameters()]
-    grads = [g for _, g in model.parameters()]
     state = AdamState(learning_rate=config.lr)
     shuffle_rng = np.random.default_rng([config.seed, 2])
     history: list[tuple[int, float, float]] = []
     best_val = np.inf
-    best_params = [p.copy() for p in params]
+    best_values = model.values.copy()
     stale_epochs = 0
 
     for epoch in range(config.epochs):
@@ -188,14 +200,14 @@ def train(model: ForecastModel, train_ds: WindowedDataset, val_ds: WindowedDatas
                     f"non-finite loss at epoch {epoch}, batch starting at {start}; "
                     f"try a lower learning rate (current {state.learning_rate:g})")
             model_backward(model, d_loss, cache)
-            adam_step(params, grads, state)
+            adam_step([model.values], [model.grads], state)
             sq_sum += loss * pred.size
             count += pred.size
         val_mse = evaluate(model, val_ds).mse
         history.append((epoch, sq_sum / count, val_mse))
         if val_mse < best_val:
             best_val = val_mse
-            best_params = [p.copy() for p in params]
+            np.copyto(best_values, model.values)
             stale_epochs = 0
         else:
             stale_epochs += 1
@@ -203,8 +215,7 @@ def train(model: ForecastModel, train_ds: WindowedDataset, val_ds: WindowedDatas
                 break
         state.learning_rate *= config.lr_decay
 
-    for p, best in zip(params, best_params):
-        p[:] = best
+    np.copyto(model.values, best_values)
     return model, history
 
 
@@ -223,10 +234,11 @@ def evaluate(model: ForecastModel, ds: WindowedDataset, batch_size: int = 256) -
         stop = start + batch_size
         pred = model_forward(model, ds.inputs[start:stop])
         diff = pred - ds.targets[start:stop]
-        sq_sum += float((diff * diff).sum())
+        sq = diff * diff
+        sq_sum += float(sq.sum())
         abs_sum += float(np.abs(diff).sum())
         count += diff.size
-        step_sq += (diff * diff).sum(axis=(0, 1))
+        step_sq += sq.sum(axis=(0, 1))
     per_step = step_sq / (ds.n_windows * ds.channels)
     return EvalReport(mse=sq_sum / count, mae=abs_sum / count, step_mse=per_step)
 
@@ -235,10 +247,12 @@ def persistence_report(ds: WindowedDataset) -> EvalReport:
     """Score the repeat-last-value baseline on the same metrics."""
     if ds.n_windows < 1:
         raise ValueError("dataset is empty")
-    pred = np.repeat(ds.inputs[:, :, -1:], ds.horizon, axis=2)
-    diff = pred - ds.targets
-    per_step = (diff * diff).sum(axis=(0, 1)) / (ds.n_windows * ds.channels)
-    return EvalReport(mse=float(np.mean(diff * diff)), mae=float(np.mean(np.abs(diff))),
+    # The last input broadcasts over the horizon. C order makes the sums below
+    # run row-major whatever the strides of the window views.
+    diff = np.subtract(ds.inputs[:, :, -1:], ds.targets, order="C")
+    sq = diff * diff
+    per_step = sq.sum(axis=(0, 1)) / (ds.n_windows * ds.channels)
+    return EvalReport(mse=float(np.mean(sq)), mae=float(np.mean(np.abs(diff))),
                       step_mse=per_step)
 
 

@@ -69,7 +69,9 @@ def dense_forward(layer: DenseLayer, x) -> np.ndarray:
     if x.shape[-1] != layer.in_dim:
         raise ValueError(
             f"last axis is {x.shape[-1]}, layer expects {layer.in_dim}")
-    return x @ layer.weight + layer.bias
+    y = x @ layer.weight
+    y += layer.bias
+    return y
 
 
 def dense_backward(layer: DenseLayer, upstream, x) -> np.ndarray:
@@ -90,8 +92,13 @@ def dense_backward(layer: DenseLayer, upstream, x) -> np.ndarray:
     return upstream @ layer.weight.T
 
 
-def relu_forward(x) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
+def relu_forward(x, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0); pass `out=x` to overwrite a pre-activation nothing else needs.
+
+    x > 0 exactly where the result is > 0 (NaN and -0.0 included), so
+    relu_backward gives the same mask whether it sees the input or the output.
+    """
+    return np.maximum(np.asarray(x, dtype=np.float64), 0.0, out=out)
 
 
 def relu_backward(upstream, x) -> np.ndarray:
@@ -104,17 +111,23 @@ def sigmoid_forward(x) -> np.ndarray:
 
     exp(-x) overflows to inf for x below about -709, and 1 / (1 + inf) is the
     correct limit 0, so that overflow is expected and silenced. Above it the
-    result stays strictly positive, unlike 0.5 * (1 + tanh(x / 2)).
+    result stays strictly positive, unlike 0.5 * (1 + tanh(x / 2)). Every
+    step runs in one fresh array; x is left unchanged.
     """
     x = np.asarray(x, dtype=np.float64)
+    y = np.negative(x, out=np.empty_like(x))
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(y, out=y)
+    y += 1.0
+    return np.divide(1.0, y, out=y)
 
 
 def sigmoid_backward(upstream, y) -> np.ndarray:
     """Backward through sigmoid given its forward *output* y."""
     y = np.asarray(y, dtype=np.float64)
-    return np.asarray(upstream, dtype=np.float64) * y * (1.0 - y)
+    grad = np.asarray(upstream, dtype=np.float64) * y
+    grad *= 1.0 - y
+    return grad
 
 
 def mse_loss(pred, target) -> tuple[float, np.ndarray]:
@@ -126,12 +139,15 @@ def mse_loss(pred, target) -> tuple[float, np.ndarray]:
     if pred.size == 0:
         raise ValueError("loss over an empty tensor is undefined")
     diff = pred - target
-    return float(np.mean(diff * diff)), 2.0 * diff / pred.size
+    loss = float(np.mean(diff * diff))
+    diff *= 2.0
+    diff /= pred.size
+    return loss, diff
 
 
 @dataclass
 class AdamState:
-    """Optimizer state; moment buffers are allocated lazily on the first step."""
+    """Optimizer state; moment and scratch buffers are allocated lazily on the first step."""
 
     learning_rate: float = 1e-4
     beta1: float = 0.9
@@ -140,29 +156,45 @@ class AdamState:
     step: int = 0
     first_moment: list[np.ndarray] = field(default_factory=list)
     second_moment: list[np.ndarray] = field(default_factory=list)
+    scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> list[np.ndarray]:
-    """Bias-corrected Adam update, applied to params in place."""
+    """Bias-corrected Adam update, applied to params in place.
+
+    Each element goes through the same operations, in the same order, as
+    p -= lr * (m / bias1) / (sqrt(v / bias2) + eps) with m and v updated by
+    m = beta1*m + (1-beta1)*g and v = beta2*v + ((1-beta2)*g)*g. Every
+    intermediate goes into the state's two scratch buffers per parameter, so
+    a step allocates no arrays.
+    """
     if len(params) != len(grads):
         raise ValueError("params and grads must pair up")
     if not state.first_moment:
         state.first_moment = [np.zeros_like(p) for p in params]
         state.second_moment = [np.zeros_like(p) for p in params]
+        state.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
     if len(state.first_moment) != len(params):
         raise ValueError("optimizer state sized for a different parameter list")
     state.step += 1
     bias1 = 1.0 - state.beta1 ** state.step
     bias2 = 1.0 - state.beta2 ** state.step
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
+    for p, g, m, v, (a, b) in zip(params, grads, state.first_moment, state.second_moment,
+                                  state.scratch, strict=True):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != p.shape or m.shape != p.shape:
             raise ValueError("parameter/gradient/state shape mismatch")
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(1.0 - state.beta1, g, out=a)
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + state.epsilon)
+        np.multiply(1.0 - state.beta2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(v, bias2, out=a)
+        np.sqrt(a, out=a)
+        a += state.epsilon
+        np.divide(m, bias1, out=b)
+        np.multiply(state.learning_rate, b, out=b)
+        p -= np.divide(b, a, out=b)
     return params
 
 

@@ -212,25 +212,26 @@ def square_wave_probe(amplitude: float = 1.0) -> JumpProbe:
     return JumpProbe(location=0.0, left_limit=-amplitude, right_limit=amplitude)
 
 
-def pulse_wave_series(duty: float = 1.0 / 3.0, period: float = 1.0,
+def pulse_wave_series(amplitude: float = 1.0, duty: float = 1.0 / 3.0, period: float = 1.0,
                       max_order: int = 10_000) -> FourierSeriesModel:
-    """Series of the 0/1 pulse that is 1 on (0, duty*period).
+    """Series of the 0/A pulse that is A on (0, duty*period).
 
-    a0 = 2*duty, a_n = sin(2 pi n d)/(pi n), b_n = (1 - cos(2 pi n d))/(pi n).
+    a0 = 2*A*duty, a_n = A*sin(2 pi n d)/(pi n), b_n = A*(1 - cos(2 pi n d))/(pi n).
     Unlike the square wave, its partial sums at the jump are not pinned to the
     midpoint by symmetry, which makes it a real convergence probe.
     """
     if not 0 < duty < 1:
         raise ValueError("duty must lie in (0, 1)")
     n = np.arange(1, max_order + 1)
-    cos_c = np.sin(2 * np.pi * n * duty) / (np.pi * n)
-    sin_c = (1 - np.cos(2 * np.pi * n * duty)) / (np.pi * n)
-    return FourierSeriesModel(period=period, a0=2 * duty,
+    cos_c = amplitude * np.sin(2 * np.pi * n * duty) / (np.pi * n)
+    sin_c = amplitude * (1 - np.cos(2 * np.pi * n * duty)) / (np.pi * n)
+    return FourierSeriesModel(period=period, a0=2 * amplitude * duty,
                               cos_coeffs=cos_c, sin_coeffs=sin_c)
 
 
-def pulse_wave_probe() -> JumpProbe:
-    return JumpProbe(location=0.0, left_limit=0.0, right_limit=1.0)
+def pulse_wave_probe(amplitude: float = 1.0) -> JumpProbe:
+    """Jump of the pulse at x=0: left limit 0, right limit A."""
+    return JumpProbe(location=0.0, left_limit=0.0, right_limit=amplitude)
 
 
 def gibbs_overshoot(model: FourierSeriesModel, probe: JumpProbe, order: int) -> float:

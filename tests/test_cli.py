@@ -225,6 +225,22 @@ def test_gibbs_pulse_wave_runs(tmp_path):
     assert (out / "gibbs.csv").exists()
 
 
+def test_gibbs_pulse_amplitude_scales_overshoots_and_targets(tmp_path):
+    rows = {}
+    for amplitude in ("1", "5"):
+        out = tmp_path / f"pulse{amplitude}"
+        assert cli.main(["gibbs", "--wave", "pulse", "--amplitude", amplitude,
+                         "--orders", "10,100,1000", "--curve-points", "16",
+                         "--out", str(out)]) == 0
+        payload = json.loads((out / "gibbs.json").read_text())
+        assert payload["jump"] == float(amplitude)
+        rows[amplitude] = payload["rows"]
+    for one, five in zip(rows["1"], rows["5"], strict=True):
+        assert five["order"] == one["order"]
+        assert five["overshoot"] == pytest.approx(5 * one["overshoot"], rel=1e-12)
+        assert five["target"] == pytest.approx(5 * one["target"], rel=1e-15)
+
+
 def test_gibbs_refuses_jumpless_wave(tmp_path, capsys):
     assert cli.main(["gibbs", "--wave", "sine", "--out", str(tmp_path / "s")]) == 2
     assert "no jump" in capsys.readouterr().err
@@ -480,6 +496,32 @@ def test_theorems_passes_and_reports(tmp_path, capsys):
     payload = json.loads((out / "theorems.json").read_text())
     assert all(check["passed"] for check in payload["checks"])
     assert payload["trials"] == 50
+
+
+def test_theorems_gap_link_passes_on_a_cancelling_sum(tmp_path):
+    # Trial 52 of seed 9 draws 560 samples whose sum is about 1e-3 of sum|x|;
+    # measured against that cancelled sum, the exact-to-rounding coefficient
+    # looked 1.1e-12 wrong. Its error against sum|x| is 9e-17.
+    out = tmp_path / "thm"
+    assert cli.main(["theorems", "--trials", "60", "--max-len", "720", "--seed", "9",
+                     "--out", str(out)]) == 0
+    gap_link = json.loads((out / "theorems.json").read_text())["checks"][0]
+    assert gap_link["name"] == "gap_link" and gap_link["worst_error"] < 1e-15
+
+
+def test_theorems_gap_link_catches_a_planted_index_0_error(tmp_path, monkeypatch):
+    exact = spectral.dct_matrix
+
+    def planted(length, normalization=spectral.ORTHO):
+        mat = exact(length, normalization).copy()
+        mat[0] *= 1.0 + 1e-10
+        return mat
+
+    monkeypatch.setattr(spectral, "dct_matrix", planted)
+    out = tmp_path / "thm"
+    assert cli.main(["theorems", "--trials", "50", "--max-len", "64", "--out", str(out)]) == 1
+    gap_link = json.loads((out / "theorems.json").read_text())["checks"][0]
+    assert gap_link["name"] == "gap_link" and not gap_link["passed"]
 
 
 def test_theorems_detects_injected_round_trip_bug(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,11 @@
 """Tests for the forecasting model, training loop, and ablation harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fecam.attention import fecam_forward
+from fecam.attention import Excitation, fecam_backward, fecam_forward
 from fecam.data import (
     WindowedDataset,
     chronological_split,
@@ -26,7 +28,7 @@ from fecam.forecaster import (
     save_model,
     train,
 )
-from fecam.nncore import grad_check, mse_loss
+from fecam.nncore import AdamState, DenseLayer, adam_step, grad_check, mse_loss
 
 
 def tiny_pipeline(lookback=16, horizon=8, channels=2, length=400, noise=0.1, seed=0):
@@ -234,6 +236,99 @@ def test_window_views_and_contiguous_copies_give_identical_results(with_fecam):
         got, want = evaluate(model, test_ds, batch_size), evaluate(model, contiguous, batch_size)
         assert (got.mse, got.mae) == (want.mse, want.mae)
         assert got.step_mse.tobytes() == want.step_mse.tobytes()
+
+
+@pytest.mark.parametrize("with_fecam", [True, False], ids=["fecam", "plain"])
+def test_backward_on_window_views_equals_contiguous_copies(with_fecam):
+    train_ds, _, test_ds = tiny_pipeline(lookback=16, horizon=8, channels=3)
+    model = build_model(TrainConfig(lookback=16, horizon=8, seed=4), with_fecam=with_fecam)
+    idx = np.random.default_rng(2).permutation(train_ds.n_windows)[:32]
+    batches = ((test_ds.inputs[5:37], test_ds.targets[5:37]),
+               (train_ds.inputs[idx], train_ds.targets[idx]))
+
+    def step(x, y):
+        model.zero_grad()
+        cache = {}
+        loss, d_loss = mse_loss(model_forward(model, x, cache), y)
+        results = [np.array(loss), model_backward(model, d_loss, cache), model.grads.copy()]
+        if with_fecam:
+            layer_cache = {}
+            out, att = fecam_forward(x, model.fecam, layer_cache)
+            results += [out, att, fecam_backward(np.cos(out), model.fecam, layer_cache)]
+            # One copy at the layer edge makes every later reshape a view.
+            assert layer_cache["x"].flags.c_contiguous
+        return results
+
+    for x, y in batches:
+        assert not x.flags.c_contiguous
+        for got, want in zip(step(x, y), step(np.ascontiguousarray(x), y), strict=True):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("with_fecam", [True, False], ids=["fecam", "plain"])
+def test_parameters_live_in_one_flat_vector(with_fecam):
+    model = build_model(TrainConfig(lookback=16, horizon=8, seed=6), with_fecam=with_fecam)
+    (values, grads), = model.parameters()
+    assert values.ndim == 1 and grads.shape == values.shape
+    for name, array in model.state_arrays().items():
+        assert np.shares_memory(array, values), name
+    layers = [model.projection] + ([model.fecam.excite1, model.fecam.excite2] if with_fecam else [])
+    for layer in layers:
+        assert np.shares_memory(layer.weight_grad, grads)
+        assert np.shares_memory(layer.bias_grad, grads)
+    # Packing happens after the draws, so the values are the unpacked layers'.
+    drawn = [DenseLayer(16, 8, np.random.default_rng([6, 0])).parameters()]
+    if with_fecam:
+        drawn.append(Excitation(16, 2, np.random.default_rng([6, 1])).parameters())
+    expected = np.concatenate([p.ravel() for pairs in drawn for p, _ in pairs])
+    assert values.tobytes() == expected.tobytes()
+    grads[:] = 1.0
+    model.zero_grad()
+    assert not any(layer.weight_grad.any() or layer.bias_grad.any() for layer in layers)
+
+
+def test_load_and_best_epoch_restore_write_through_the_flat_vector(tmp_path):
+    train_ds, val_ds, _ = tiny_pipeline()
+    cfg = TrainConfig(lookback=16, horizon=8, lr=0.2, epochs=2, lr_decay=1.0,
+                      early_stop_patience=2)
+    model, history = train(build_model(cfg), train_ds, val_ds, cfg)
+    best_val = min(row[2] for row in history)
+    assert history[-1][2] > best_val  # the restore is what brings the best back
+    assert evaluate(model, val_ds).mse == best_val
+    path = tmp_path / "model.json"
+    save_model(path, model)
+    loaded, _ = load_model(path)
+    assert loaded.values.tobytes() == model.values.tobytes()
+    for name, array in loaded.state_arrays().items():
+        assert np.shares_memory(array, loaded.values), name
+    assert evaluate(loaded, val_ds).mse == best_val
+
+
+def test_adam_step_on_the_flat_vector_allocates_no_arrays():
+    model = build_model(TrainConfig(lookback=96, horizon=96))
+    values, grads = model.parameters()[0]
+    grads[:] = np.random.default_rng(8).normal(size=grads.shape)
+    state = AdamState(learning_rate=1e-3)
+    adam_step([values], [grads], state)  # allocates the moments and scratch
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        adam_step([values], [grads], state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One temporary of the 18,624-element vector would be 145 KiB.
+    assert peak - before < 1024
+
+
+def test_persistence_report_matches_the_materialized_prediction():
+    _, _, test_ds = tiny_pipeline(channels=3)
+    diff = np.repeat(test_ds.inputs[:, :, -1:], test_ds.horizon, axis=2) - test_ds.targets
+    report = persistence_report(test_ds)
+    assert report.mse == float(np.mean(diff * diff))
+    assert report.mae == float(np.mean(np.abs(diff)))
+    per_step = (diff * diff).sum(axis=(0, 1)) / (test_ds.n_windows * test_ds.channels)
+    assert report.step_mse.tobytes() == per_step.tobytes()
 
 
 def test_persistence_baseline_scores():

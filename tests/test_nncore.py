@@ -151,6 +151,19 @@ def test_activation_gradient_checks():
 
 # --- loss -------------------------------------------------------------------------
 
+def test_sigmoid_and_mse_leave_their_inputs_unchanged():
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(3, 4, 5)) * 50.0
+    pred, target = rng.normal(size=(2, 6)), rng.normal(size=(2, 6))
+    saved = [a.copy() for a in (x, pred, target)]
+    y = sigmoid_forward(x)
+    _, grad = mse_loss(pred, target)
+    for arr, before in zip((x, pred, target), saved):
+        assert arr.tobytes() == before.tobytes()
+    assert not np.shares_memory(y, x)
+    assert not np.shares_memory(grad, pred) and not np.shares_memory(grad, target)
+
+
 def test_mse_trivial_values():
     x = np.ones((2, 3, 4))
     assert mse_loss(x, x)[0] == 0.0
@@ -210,6 +223,38 @@ def test_adam_is_deterministic():
         return p[0]
 
     np.testing.assert_array_equal(run(), run())
+
+
+def test_adam_matches_textbook_expression_bit_for_bit():
+    # The in-place update must round exactly like the plain expression below,
+    # on separate arrays and on their concatenation alike.
+    def textbook(params, grads, moments, step, lr=0.01, b1=0.9, b2=0.999, eps=1e-8):
+        bias1, bias2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+        for p, g, (m, v) in zip(params, grads, moments):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+
+    rng = np.random.default_rng(21)
+    shapes = [(4, 3), (3,), (5, 2)]
+    start = [rng.normal(size=s) for s in shapes]
+    separate = [a.copy() for a in start]
+    flat = [np.concatenate([a.ravel() for a in start])]
+    expected = [a.copy() for a in start]
+    moments = [(np.zeros(s), np.zeros(s)) for s in shapes]
+    state_separate, state_flat = AdamState(learning_rate=0.01), AdamState(learning_rate=0.01)
+    for step in range(1, 51):
+        grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+        textbook(expected, grads, moments, step)
+        adam_step(separate, grads, state_separate)
+        adam_step(flat, [np.concatenate([g.ravel() for g in grads])], state_flat)
+        for got, want, m, v, (want_m, want_v) in zip(separate, expected, state_separate.first_moment,
+                                                     state_separate.second_moment, moments):
+            assert got.tobytes() == want.tobytes()
+            assert m.tobytes() == want_m.tobytes() and v.tobytes() == want_v.tobytes()
+        assert flat[0].tobytes() == np.concatenate([a.ravel() for a in expected]).tobytes()
 
 
 def test_adam_dimension_mismatch():
