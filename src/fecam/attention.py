@@ -7,11 +7,9 @@ length) with ReLU inside and sigmoid outside, and rescales the original
 time-domain input elementwise by the resulting attention weights. No inverse
 transform is involved: attention modulates the signal, not its spectrum.
 
-A classic squeeze-and-excite block over channel means is included as the
-baseline this construction generalizes: the mean a channel is squeezed to is,
-up to a fixed scale, the lowest cosine coefficient of that channel. Both use
-the same Excitation block; the function called (fecam_* or se_*) decides the
-squeeze and the axis the block acts on.
+A squeeze-and-excite channel mean is, up to a fixed scale, the lowest cosine
+coefficient of the spectrum squeezed here; `fecam theorems` checks that
+identity as `gap_link`.
 """
 
 from __future__ import annotations
@@ -30,23 +28,19 @@ from .nncore import (
 from .spectral import ORTHO, dct_matrix
 
 
-def _check_tensor3(x, name: str = "x") -> np.ndarray:
-    """x as a C-contiguous float64 (batch, channels, length) array.
+def _check_input(x, block: Excitation) -> np.ndarray:
+    """x as a finite, C-contiguous float64 (batch, channels, block.size) array.
 
     Batches gathered from sliding-window views are strided along the length
     axis; one copy here makes every later reshape to (batch*channels, length)
     a view and every elementwise pass run over contiguous memory.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ValueError(f"{name} must have shape (batch, channels, length), got {arr.shape}")
-    return np.ascontiguousarray(arr)
-
-
-def _check_input(x, block: Excitation, axis: int) -> np.ndarray:
-    x = _check_tensor3(x)
-    if x.shape[axis] != block.size:
-        raise ValueError(f"x has size {x.shape[axis]} on axis {axis}, block expects {block.size}")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3:
+        raise ValueError(f"x must have shape (batch, channels, length), got {x.shape}")
+    x = np.ascontiguousarray(x)
+    if x.shape[2] != block.size:
+        raise ValueError(f"x has length {x.shape[2]}, block expects {block.size}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x contains non-finite values")
     return x
@@ -55,11 +49,9 @@ def _check_input(x, block: Excitation, axis: int) -> np.ndarray:
 class Excitation:
     """Bottleneck excitation: size -> size/reduction -> size, ReLU then sigmoid.
 
-    For FECAM `size` is the sequence length and the two dense layers act on
-    the frequency axis, shared across channels, so every channel gets its own
-    length-L attention vector from the same weights. For the SE baseline
-    `size` is the channel count and the block maps channel means to one
-    weight per channel.
+    `size` is the sequence length and the two dense layers act on the
+    frequency axis, shared across channels, so every channel gets its own
+    length-L attention vector from the same weights.
     """
 
     def __init__(self, size: int, reduction: int = 2, rng: np.random.Generator | None = None):
@@ -90,71 +82,6 @@ class Excitation:
         }
 
 
-def _excite(z1: np.ndarray, block: Excitation) -> tuple[np.ndarray, np.ndarray]:
-    """The shared middle after the first dense layer; returns (h1, att).
-
-    The ReLU overwrites z1, which must be a fresh array nothing else holds.
-    """
-    h1 = relu_forward(z1, out=z1)
-    z2 = h1 @ block.excite2.weight
-    z2 += block.excite2.bias
-    return h1, sigmoid_forward(z2)
-
-
-def _excite_backward(d_att, block: Excitation, h1, att) -> np.ndarray:
-    """Reverse of _excite; accumulates excite2's grads and returns d_z1."""
-    d_h1 = dense_backward(block.excite2, sigmoid_backward(d_att, att), h1)
-    return relu_backward(d_h1, h1)
-
-
-def gap(x) -> np.ndarray:
-    """Per-channel temporal mean: (B, C, L) -> (B, C)."""
-    return _check_tensor3(x).mean(axis=2)
-
-
-def se_attention(x, block: Excitation, cache: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Channel attention from squeezed means; returns (weights (B, C), rescaled x)."""
-    x = _check_input(x, block, 1)
-    squeezed = gap(x)
-    z1 = squeezed @ block.excite1.weight
-    z1 += block.excite1.bias
-    h1, att = _excite(z1, block)
-    out = x * att[:, :, None]
-    if cache is not None:
-        cache.update(x=x, squeezed=squeezed, h1=h1, att=att)
-    return att, out
-
-
-def se_attention_backward(upstream, block: Excitation, cache: dict) -> np.ndarray:
-    """Reverse of se_attention; accumulates into the block's grad buffers."""
-    if not cache:
-        raise ValueError("se_attention_backward needs the cache filled by se_attention")
-    upstream = np.asarray(upstream, dtype=np.float64)
-    x, att = cache["x"], cache["att"]
-    d_x = upstream * att[:, :, None]
-    d_z1 = _excite_backward((upstream * x).sum(axis=2), block, cache["h1"], att)
-    d_squeezed = dense_backward(block.excite1, d_z1, cache["squeezed"])
-    d_x += d_squeezed[:, :, None] / x.shape[2]
-    return d_x
-
-
-def frequency_map(x, block: Excitation) -> np.ndarray:
-    """Orthonormal cosine spectrum of every channel, stacked to (B, C, L).
-
-    Each channel is transformed independently with the cached basis, one
-    matrix-vector product per (batch, channel) row. This is the readable
-    form of the squeeze; fecam_forward and fecam_backward do not call it, they
-    apply the same basis folded into the first excitation weight.
-    """
-    x = _check_input(x, block, 2)
-    dct = dct_matrix(block.size, ORTHO)
-    out = np.empty_like(x)
-    for b in range(x.shape[0]):
-        for c in range(x.shape[1]):
-            out[b, c] = dct @ x[b, c]
-    return out
-
-
 def fecam_forward(x, block: Excitation, cache: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Apply frequency attention; returns (rescaled x, attention map).
 
@@ -167,12 +94,15 @@ def fecam_forward(x, block: Excitation, cache: dict | None = None) -> tuple[np.n
     |out| <= |x| elementwise. Pass a dict as `cache` to retain the
     activations fecam_backward needs.
     """
-    x = _check_input(x, block, 2)
+    x = _check_input(x, block)
     folded = dct_matrix(block.size, ORTHO).T @ block.excite1.weight
     z1 = x.reshape(-1, block.size) @ folded
     z1 += block.excite1.bias
-    h1, att = _excite(z1, block)
-    att = att.reshape(x.shape)
+    h1 = relu_forward(z1, out=z1)
+    z2 = h1 @ block.excite2.weight
+    z2 += block.excite2.bias
+    att = sigmoid_forward(z2).reshape(x.shape)
+    del z2  # so `out` is not allocated while the pre-activation is held
     out = x * att
     if cache is not None:
         cache.update(x=x, folded=folded, h1=h1, att=att)
@@ -193,8 +123,10 @@ def fecam_backward(upstream, block: Excitation, cache: dict) -> np.ndarray:
     if upstream.shape != x.shape:
         raise ValueError(f"upstream shape {upstream.shape} != input shape {x.shape}")
     rows = x.reshape(-1, block.size)
-    d_z1 = _excite_backward((upstream * x).reshape(rows.shape), block, cache["h1"],
-                            att.reshape(rows.shape))
+    h1 = cache["h1"]
+    d_z2 = sigmoid_backward((upstream * x).reshape(rows.shape), att.reshape(rows.shape))
+    d_z1 = relu_backward(dense_backward(block.excite2, d_z2, h1), h1)
+    del d_z2  # likewise, before the input gradient is allocated
     block.excite1.weight_grad += dct_matrix(block.size, ORTHO) @ (rows.T @ d_z1)
     block.excite1.bias_grad += d_z1.sum(axis=0)
     d_x = (d_z1 @ cache["folded"].T).reshape(x.shape)

@@ -191,10 +191,13 @@ def chronological_split(series: RawSeries, ratios, min_slice_len: int = 1):
     lookback + horizon) to reject splits too short to window.
     """
     ratios = [float(r) for r in ratios]
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ValueError(f"need three positive ratios, got {ratios}")
+    if len(ratios) != 3 or not all(0 < r < np.inf for r in ratios):
+        raise ValueError(f"need three positive finite ratios, got {ratios}")
     total = sum(ratios)
     t = series.length
+    # Each share's numerator t * ratio is at most t * total.
+    if not np.isfinite(t * total):
+        raise ValueError(f"ratios {ratios} are too large: {t} rows times their sum overflows")
     n_val = int(t * ratios[1] / total)
     n_test = int(t * ratios[2] / total)
     n_train = t - n_val - n_test
@@ -223,13 +226,6 @@ class Standardizer:
             raise ValueError(
                 f"{observations.shape[-1]} channels, standardizer has {self.mean.shape[0]}")
         return (observations - self.mean) / self.std
-
-    def inverse_transform(self, observations: np.ndarray) -> np.ndarray:
-        observations = np.asarray(observations, dtype=np.float64)
-        if observations.shape[-1] != self.mean.shape[0]:
-            raise ValueError(
-                f"{observations.shape[-1]} channels, standardizer has {self.mean.shape[0]}")
-        return observations * self.std + self.mean
 
     def apply(self, series: RawSeries) -> RawSeries:
         return RawSeries(series.timestamps, self.transform(series.observations),

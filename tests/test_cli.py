@@ -119,7 +119,8 @@ def test_train_split_sizes(data_csv, tmp_path, split, sizes):
     assert dataset["split_sizes"] == dict(zip(("train", "val", "test"), sizes))
 
 
-@pytest.mark.parametrize("split", ["7:2", "7:2:x", "halves", "7:0:2"])
+@pytest.mark.parametrize("split", ["7:2", "7:2:x", "halves", "7:0:2", "nan:1:1", "1:1:inf",
+                                   "1e308:1e308:1", "inf:1:1", "1:1e308:1"])
 def test_train_malformed_split_exits_2(data_csv, tmp_path, capsys, split):
     out = tmp_path / "never"
     assert run_train(data_csv, out, "--split", split) == 2
