@@ -3,19 +3,22 @@
 Five subcommands: train (fit/evaluate, optionally both ablation arms), gibbs
 (overshoot sweep with plottable partial-sum curves), compaction (truncated
 reconstruction error tables), attention (heatmap export from a checkpoint),
-and theorems (randomized verification suite). Every command writes a
-manifest.json recording the exact invocation, config, seed, library versions
-and wall time next to its outputs, so any result can be reproduced from the
-output directory alone.
+and theorems (randomized verification suite). A command only computes: it
+returns its exit code and the files to write, and main() creates the output
+directory, writes them, and adds manifest.json (the exact invocation, config,
+seed and library versions, so any result can be reproduced from the output
+directory alone) and timing.json (wall time, the one file that differs between
+repeat runs).
 
 Exit codes: 0 success, 1 property failure, 2 usage or config error (or an
-input too large for memory), 3 numerical divergence. The FECAM_OUT
+unusable path, or an input too large for memory), 3 numerical divergence. The FECAM_OUT
 environment variable, when set, takes precedence over --out.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -91,23 +94,18 @@ def _parse_int_list(text: str) -> list[int]:
     return values
 
 
-def _out_dir(args) -> Path:
-    env = os.environ.get("FECAM_OUT", "").strip()
-    return Path(env) if env else Path(args.out)
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _write_manifest(out_dir: Path, args, started: float) -> None:
+def _write_manifest(out_dir: Path, args, argv: list[str]) -> None:
     config = {}
     for key, value in vars(args).items():
         if key == "func":
             continue
         config[key] = str(value) if isinstance(value, Path) else value
     _write_json(out_dir / "manifest.json", {
-        "command_line": sys.argv,
+        "command_line": argv,
         "config": config,
         "seed": getattr(args, "seed", None),
         "versions": {
@@ -115,7 +113,6 @@ def _write_manifest(out_dir: Path, args, started: float) -> None:
             "numpy": np.__version__,
             "fecam": __version__,
         },
-        "wall_time_seconds": time.perf_counter() - started,
     })
 
 
@@ -140,7 +137,7 @@ def _prepared_windows(args, lookback: int, horizon: int):
     return series, splits, scaler, windows
 
 
-def _metrics_payload(args, config: TrainConfig, report, history, seconds: float) -> dict:
+def _metrics_payload(args, config: TrainConfig, report, history) -> dict:
     return {
         "dataset": Path(args.data).name,
         "channel": args.channel or "all",
@@ -150,14 +147,12 @@ def _metrics_payload(args, config: TrainConfig, report, history, seconds: float)
         "mse": report.mse,
         "mae": report.mae,
         "epochs_run": len(history),
-        "seconds": seconds,
         "scale": "standardized",
         "step_mse": [float(v) for v in report.step_mse],
     }
 
 
-def cmd_train(args) -> int:
-    started = time.perf_counter()
+def cmd_train(args) -> tuple[int, dict]:
     config = TrainConfig(
         lookback=args.lookback, horizon=args.horizon, reduction=args.reduction,
         lr=args.lr, batch_size=args.batch_size, epochs=args.epochs, seed=args.seed,
@@ -176,29 +171,26 @@ def cmd_train(args) -> int:
         model, history = train(build_model(config), train_ds, val_ds, config)
         arms = [("", model, history, evaluate(model, test_ds))]
 
-    # Created only now, so a run that diverged leaves no partial directory.
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "dataset.json", summary)
+    files = {"dataset.json": functools.partial(_write_json, payload=summary)}
     if args.ablation:
-        _write_json(out / "ablation.json", {
+        files["ablation.json"] = functools.partial(_write_json, payload={
             "fecam_mse": result.fecam_report.mse,
             "plain_mse": result.plain_report.mse,
             "mse_reduction_pct": result.mse_reduction_pct,
         })
     for arm, model, history, report in arms:
         suffix = f"_{arm}" if arm else ""
-        payload = _metrics_payload(args, config, report, history,
-                                   time.perf_counter() - started)
+        payload = _metrics_payload(args, config, report, history)
         if arm:
             payload["arm"] = arm
         payload["persistence_mse"] = baseline.mse
         payload["persistence_mae"] = baseline.mae
-        _write_json(out / f"metrics{suffix}.json", payload)
-        write_csv(out / f"loss_history{suffix}.csv", ["epoch", "train_loss", "val_loss"], history)
-        save_model(out / f"model{suffix}.json", model, {"dataset": Path(args.data).name})
-    _write_manifest(out, args, started)
-    return 0
+        files[f"metrics{suffix}.json"] = functools.partial(_write_json, payload=payload)
+        files[f"loss_history{suffix}.csv"] = functools.partial(
+            write_csv, header=["epoch", "train_loss", "val_loss"], rows=history)
+        files[f"model{suffix}.json"] = functools.partial(
+            save_model, model=model, extra_meta={"dataset": Path(args.data).name})
+    return 0, files
 
 
 def _sample_curve(model, order: int, xs: np.ndarray) -> np.ndarray:
@@ -210,10 +202,12 @@ def _sample_curve(model, order: int, xs: np.ndarray) -> np.ndarray:
     return values
 
 
-def cmd_gibbs(args) -> int:
+def cmd_gibbs(args) -> tuple[int, dict]:
     orders = _parse_int_list(args.orders)
     if any(n < 1 for n in orders):
         raise ValueError("orders must be >= 1")
+    if args.curve_points < 1:
+        raise ValueError(f"curve-points must be >= 1, got {args.curve_points}")
     if not np.isfinite(args.amplitude):
         raise ValueError(f"amplitude must be finite, got {args.amplitude}")
     if args.wave == "sine":
@@ -227,29 +221,25 @@ def cmd_gibbs(args) -> int:
         model = pulse_wave_series(args.amplitude, max_order=max_order)
         probe = pulse_wave_probe(args.amplitude)
 
-    started = time.perf_counter()
     rows = gibbs_sweep(model, probe, orders)
     if not np.all(np.isfinite(rows)):
         raise ValueError(f"amplitude {args.amplitude} overflows the overshoot sweep")
     xs = np.linspace(0.0, model.period, args.curve_points, endpoint=False)
-    curves = {order: zip(xs, _sample_curve(model, order, xs)) for order in orders}
-
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "gibbs.csv", ["N", "overshoot", "target"], rows)
-    for order, curve in curves.items():
-        write_csv(out / f"curve_n{order}.csv", ["x", "value"], curve)
-    _write_json(out / "gibbs.json", {
+    files = {"gibbs.csv": functools.partial(write_csv, header=["N", "overshoot", "target"],
+                                            rows=rows)}
+    for order in orders:
+        files[f"curve_n{order}.csv"] = functools.partial(
+            write_csv, header=["x", "value"], rows=zip(xs, _sample_curve(model, order, xs)))
+    files["gibbs.json"] = functools.partial(_write_json, payload={
         "wave": args.wave,
         "jump": probe.jump,
         "target_overshoot": probe.jump * GIBBS_CONSTANT,
         "rows": [{"order": n, "overshoot": o, "target": t} for n, o, t in rows],
     })
-    _write_manifest(out, args, started)
-    return 0
+    return 0, files
 
 
-def cmd_compaction(args) -> int:
+def cmd_compaction(args) -> tuple[int, dict]:
     components = _parse_int_list(args.components)
     if args.length < 1:
         raise ValueError(f"length must be >= 1, got {args.length}")
@@ -260,7 +250,6 @@ def cmd_compaction(args) -> int:
     if any(not 1 <= n <= args.length for n in components):
         raise ValueError(f"components must lie in [1, {args.length}]")
 
-    started = time.perf_counter()
     errors = ["n", "dct_err", "dft_err"]
     tables = {"compaction.csv": (errors, energy_compaction_report(signal, components))}
     for kind in ("dct", "dft"):
@@ -271,17 +260,11 @@ def cmd_compaction(args) -> int:
     if args.signal == "ramp":
         tables["boundary.csv"] = (
             errors, [(n, *boundary_overshoot_compare(signal, n)) for n in components])
-
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, (header, rows) in tables.items():
-        write_csv(out / name, header, rows)
-    _write_manifest(out, args, started)
-    return 0
+    return 0, {name: functools.partial(write_csv, header=header, rows=rows)
+               for name, (header, rows) in tables.items()}
 
 
-def cmd_attention(args) -> int:
-    started = time.perf_counter()
+def cmd_attention(args) -> tuple[int, dict]:
     model, _ = load_model(args.checkpoint)
     if model.fecam is None:
         raise ValueError("checkpoint has no attention layer (trained with --ablation plain arm?)")
@@ -291,21 +274,15 @@ def cmd_attention(args) -> int:
     total = np.zeros(test_ds.inputs.shape[1:])
     for start in range(0, test_ds.n_windows, 256):
         total += fecam_forward(test_ds.inputs[start:start + 256], model.fecam)[1].sum(axis=0)
-
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    export_attention(total / test_ds.n_windows, out / "attention.csv")
-    _write_manifest(out, args, started)
-    return 0
+    return 0, {"attention.csv": functools.partial(export_attention, total / test_ds.n_windows)}
 
 
-def cmd_theorems(args) -> int:
+def cmd_theorems(args) -> tuple[int, dict]:
     if args.trials < 1:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
     if args.max_len < 4:
         raise ValueError(f"max-len must be >= 4, got {args.max_len}")
     rng = np.random.default_rng(args.seed)
-    started = time.perf_counter()
     checks = []
 
     worst = 0.0
@@ -341,8 +318,6 @@ def cmd_theorems(args) -> int:
         worst = max(worst, float(np.max(np.abs(basis @ basis.T - np.eye(length)))))
     checks.append(("orthogonality", worst, 1e-10))
 
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
     failures = []
     print(f"randomized verification: trials={args.trials} max_len={args.max_len} seed={args.seed}")
     for name, error, tolerance in checks:
@@ -350,18 +325,16 @@ def cmd_theorems(args) -> int:
         if not ok:
             failures.append(name)
         print(f"  {name:18s} {'PASS' if ok else 'FAIL'}  worst {error:.3e}  (tol {tolerance:g})")
-    _write_json(out / "theorems.json", {
+    report = {
         "trials": args.trials,
         "max_len": args.max_len,
         "seed": args.seed,
         "checks": [{"name": n, "worst_error": float(e), "tolerance": t, "passed": bool(e < t)}
                    for n, e, t in checks],
-    })
-    _write_manifest(out, args, started)
+    }
     if failures:
         print(f"FAILED: {', '.join(failures)}", file=sys.stderr)
-        return 1
-    return 0
+    return (1 if failures else 0), {"theorems.json": functools.partial(_write_json, payload=report)}
 
 
 def _add_data_flags(parser: argparse.ArgumentParser) -> None:
@@ -431,13 +404,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        # The command only computes, so a run that fails leaves no directory.
+        code, files = args.func(args)
+        out = Path(os.environ.get("FECAM_OUT", "").strip() or args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, write in files.items():
+            write(out / name)
+        _write_manifest(out, args, argv)
+        _write_json(out / "timing.json", {"wall_time_seconds": time.perf_counter() - started})
+        return code
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError, NotADirectoryError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -61,7 +61,9 @@ def assert_input_error(argv, out, capsys) -> str:
 
 def test_train_writes_metrics_history_checkpoint_manifest(data_csv, tmp_path):
     out = tmp_path / "run"
-    assert run_train(data_csv, out) == 0
+    argv = ["train", "--data", str(data_csv), "--lookback", "32", "--horizon", "16",
+            "--epochs", "2", "--lr", "1e-3", "--seed", "5", "--out", str(out)]
+    assert cli.main(argv) == 0
     metrics = json.loads((out / "metrics.json").read_text())
     assert np.isfinite(metrics["mse"]) and np.isfinite(metrics["mae"])
     assert metrics["epochs_run"] == 2
@@ -73,7 +75,8 @@ def test_train_writes_metrics_history_checkpoint_manifest(data_csv, tmp_path):
     assert manifest["config"]["lookback"] == 32
     assert manifest["seed"] == 5
     assert "numpy" in manifest["versions"] and "fecam" in manifest["versions"]
-    assert manifest["wall_time_seconds"] > 0
+    assert manifest["command_line"] == argv
+    assert json.loads((out / "timing.json").read_text())["wall_time_seconds"] > 0
     assert (out / "model.json").exists() and (out / "dataset.json").exists()
 
 
@@ -190,6 +193,54 @@ def test_divergence_maps_to_exit_3(data_csv, tmp_path, monkeypatch, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+def test_out_path_that_is_a_file_exits_2(data_csv, tmp_path, monkeypatch, capsys, via_env):
+    target = tmp_path / "afile"
+    target.write_text("keep me\n")
+    if via_env:
+        monkeypatch.setenv("FECAM_OUT", str(target))
+    assert run_train(data_csv, tmp_path / "from_flag" if via_env else target) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert target.read_text() == "keep me\n"
+    assert not (tmp_path / "from_flag").exists()
+
+
+def test_manifest_records_the_argv_main_parsed(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["host", "extra-host-arg"])
+    argv = ["theorems", "--trials", "5", "--max-len", "16", "--out", str(tmp_path / "a")]
+    assert cli.main(argv) == 0
+    assert json.loads((tmp_path / "a" / "manifest.json").read_text())["command_line"] == argv
+
+    argv = ["theorems", "--trials", "5", "--max-len", "16", "--out", str(tmp_path / "b")]
+    monkeypatch.setattr(sys, "argv", ["fecam", *argv])
+    assert cli.main() == 0
+    assert json.loads((tmp_path / "b" / "manifest.json").read_text())["command_line"] == argv
+
+
+def test_repeat_runs_are_byte_identical_except_timing(data_csv, tmp_path):
+    ckpt = make_checkpoint(tmp_path)
+    commands = {
+        "train": ["train", "--data", str(data_csv), "--lookback", "32", "--horizon", "16",
+                  "--epochs", "2", "--lr", "1e-3", "--seed", "5", "--ablation"],
+        "attention": ["attention", "--checkpoint", str(ckpt), "--data", str(data_csv)],
+        "gibbs": ["gibbs", "--orders", "10,100", "--curve-points", "32"],
+        "compaction": ["compaction", "--signal", "ramp", "--components", "5,10"],
+        "theorems": ["theorems", "--trials", "20", "--max-len", "32"],
+    }
+    for name, argv in commands.items():
+        out = tmp_path / name
+        digests = []
+        for _ in range(2):
+            assert cli.main([*argv, "--out", str(out)]) == 0
+            digests.append({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                            for path in sorted(out.iterdir()) if path.name != "timing.json"})
+            timing = json.loads((out / "timing.json").read_text())
+            assert timing["wall_time_seconds"] > 0
+        assert "manifest.json" in digests[0] and len(digests[0]) > 1
+        assert digests[0] == digests[1], name
+
+
 def test_env_var_overrides_out_flag(data_csv, tmp_path, monkeypatch):
     env_dir = tmp_path / "from_env"
     monkeypatch.setenv("FECAM_OUT", str(env_dir))
@@ -264,6 +315,12 @@ def test_gibbs_zero_amplitude_exits_2_without_outputs(tmp_path, capsys):
 def test_gibbs_non_finite_or_overflowing_amplitude_exits_2(tmp_path, capsys, amplitude):
     err = assert_input_error(["gibbs", f"--amplitude={amplitude}"], tmp_path / "x", capsys)
     assert "amplitude" in err
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_gibbs_curve_points_below_1_exits_2(tmp_path, capsys, points):
+    err = assert_input_error(["gibbs", "--curve-points", points], tmp_path / "x", capsys)
+    assert f"curve-points must be >= 1, got {points}" in err
 
 
 def test_gibbs_json_is_strict(tmp_path):
@@ -390,6 +447,11 @@ def test_attention_rejects_non_finite_checkpoint(data_csv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "projection.weight" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_attention_checkpoint_that_is_a_directory_exits_2(data_csv, tmp_path, capsys):
+    argv = ["attention", "--checkpoint", str(tmp_path), "--data", str(data_csv)]
+    assert_input_error(argv, tmp_path / "x", capsys)
 
 
 def test_attention_rejects_too_short_data(tmp_path):
