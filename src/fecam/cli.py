@@ -56,20 +56,19 @@ from .spectral import (
     GIBBS_CONSTANT,
     ORTHO,
     UNNORMALIZED,
-    boundary_overshoot_compare,
     dct_forward,
     dct_inverse,
     dct_matrix,
     dct_via_even_dft,
-    energy_compaction_report,
+    edge_error,
     fourier_partial_sum,
     gibbs_sweep,
     low_frequency_signal,
     pulse_wave_probe,
     pulse_wave_series,
-    reconstruct_truncated,
     square_wave_probe,
     square_wave_series,
+    truncated_reconstructions,
 )
 
 SPLIT_PRESETS = {"conventional": (0.7, 0.1, 0.2)}
@@ -78,10 +77,12 @@ SPLIT_PRESETS = {"conventional": (0.7, 0.1, 0.2)}
 def _parse_ratios(text: str):
     if text in SPLIT_PRESETS:
         return SPLIT_PRESETS[text]
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"split must be a:b:c or a preset {sorted(SPLIT_PRESETS)}, got {text!r}")
-    return tuple(float(p) for p in parts)
+    try:
+        a, b, c = (float(p) for p in text.split(":"))
+    except ValueError:
+        raise ValueError(f"split must be a:b:c numbers or a preset {sorted(SPLIT_PRESETS)}, "
+                         f"got {text!r}") from None
+    return a, b, c
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -247,19 +248,19 @@ def cmd_compaction(args) -> tuple[int, dict]:
         signal = low_frequency_signal(args.length)
     else:
         signal = np.arange(args.length, dtype=np.float64)
-    if any(not 1 <= n <= args.length for n in components):
-        raise ValueError(f"components must lie in [1, {args.length}]")
+    recons = truncated_reconstructions(signal, components)
 
     errors = ["n", "dct_err", "dft_err"]
-    tables = {"compaction.csv": (errors, energy_compaction_report(signal, components))}
-    for kind in ("dct", "dft"):
-        for n in components:
-            recon, _ = reconstruct_truncated(signal, n, kind)
-            tables[f"recon_{kind}_n{n}.csv"] = (["index", "original", "reconstruction"],
-                                                zip(range(args.length), signal, recon))
+    tables = {"compaction.csv": (errors, sorted(
+        (n, float(np.linalg.norm(dct - signal)), float(np.linalg.norm(dft - signal)))
+        for n, dct, dft in recons))}
+    for column, kind in enumerate(("dct", "dft"), start=1):
+        for row in recons:
+            tables[f"recon_{kind}_n{row[0]}.csv"] = (["index", "original", "reconstruction"],
+                                                     zip(range(args.length), signal, row[column]))
     if args.signal == "ramp":
-        tables["boundary.csv"] = (
-            errors, [(n, *boundary_overshoot_compare(signal, n)) for n in components])
+        tables["boundary.csv"] = (errors, [(n, edge_error(signal, dct), edge_error(signal, dft))
+                                           for n, dct, dft in recons])
     return 0, {name: functools.partial(write_csv, header=header, rows=rows)
                for name, (header, rows) in tables.items()}
 
@@ -282,6 +283,8 @@ def cmd_theorems(args) -> tuple[int, dict]:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
     if args.max_len < 4:
         raise ValueError(f"max-len must be >= 4, got {args.max_len}")
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     checks = []
 
@@ -410,7 +413,7 @@ def main(argv=None) -> int:
     try:
         # The command only computes, so a run that fails leaves no directory.
         code, files = args.func(args)
-        out = Path(os.environ.get("FECAM_OUT", "").strip() or args.out)
+        out = args.out = Path(os.environ.get("FECAM_OUT", "").strip() or args.out)
         out.mkdir(parents=True, exist_ok=True)
         for name, write in files.items():
             write(out / name)

@@ -63,6 +63,8 @@ class TrainConfig:
         # lr = 0 is allowed: it turns training into a no-op, useful as a control.
         if self.lr < 0:
             raise ValueError(f"lr must be nonnegative, got {self.lr}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.lookback % self.reduction != 0:
             raise ValueError(
                 f"lookback {self.lookback} not divisible by reduction {self.reduction}")
@@ -303,23 +305,36 @@ def save_model(path, model: ForecastModel, extra_meta: dict | None = None) -> No
     save_checkpoint(path, model.state_arrays(), meta)
 
 
+def _check_array(arrays: dict[str, np.ndarray], name: str, shape: tuple) -> None:
+    if name not in arrays:
+        raise ValueError(f"checkpoint missing array {name!r}")
+    if arrays[name].shape != shape:
+        raise ValueError(f"{name}: checkpoint shape {arrays[name].shape} != model shape {shape}")
+
+
 def load_model(path) -> tuple[ForecastModel, dict]:
     """Rebuild a model from a checkpoint; returns (model, checkpoint meta)."""
     arrays, meta = load_checkpoint(path)
     for key in ("lookback", "horizon", "reduction", "with_fecam"):
         if key not in meta:
             raise ValueError(f"checkpoint meta missing {key!r}")
-    try:
-        sizes = [int(meta[key]) for key in ("lookback", "horizon", "reduction")]
-    except (TypeError, ValueError, OverflowError):
+    sizes = [meta[key] for key in ("lookback", "horizon", "reduction")]
+    if not all(type(v) is int and v >= 1 for v in sizes):
+        raise ValueError("checkpoint meta lookback, horizon and reduction must be integers "
+                         f">= 1, got {sizes}")
+    if type(meta["with_fecam"]) is not bool:
         raise ValueError(
-            "checkpoint meta lookback, horizon and reduction must be integers") from None
-    model = ForecastModel(*sizes, with_fecam=bool(meta["with_fecam"]))
+            f"checkpoint meta with_fecam must be true or false, got {meta['with_fecam']!r}")
+    lookback, horizon, reduction = sizes
+    # The largest arrays are checked against the meta before any weight is
+    # drawn, so every allocation is bounded by arrays the file actually holds.
+    expected = {"projection.weight": (lookback, horizon)}
+    if meta["with_fecam"]:
+        expected["fecam.excite1.weight"] = (lookback, lookback // reduction)
+    for name, shape in expected.items():
+        _check_array(arrays, name, shape)
+    model = ForecastModel(*sizes, with_fecam=meta["with_fecam"])
     for name, target in model.state_arrays().items():
-        if name not in arrays:
-            raise ValueError(f"checkpoint missing array {name!r}")
-        value = arrays[name]
-        if value.shape != target.shape:
-            raise ValueError(f"{name}: checkpoint shape {value.shape} != model shape {target.shape}")
-        target[:] = value
+        _check_array(arrays, name, target.shape)
+        target[:] = arrays[name]
     return model, meta

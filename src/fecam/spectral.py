@@ -1,5 +1,5 @@
 """Spectral kernels: DCT-II/III, DFT, symmetric extension, Fourier partial
-sums, Gibbs overshoot probes and truncated-reconstruction analysis.
+sums, Gibbs overshoot probes and truncated reconstructions.
 
 The cosine transform is an O(L^2) product with a cached basis matrix, built
 once per (length, normalization); its inverse applies the same matrix
@@ -259,63 +259,44 @@ def gibbs_sweep(model: FourierSeriesModel, probe: JumpProbe,
 # Truncated reconstruction and energy compaction
 # ---------------------------------------------------------------------------
 
-def reconstruct_truncated(x, n: int, kind: str) -> tuple[np.ndarray, float]:
-    """Rebuild x from its n lowest-frequency components.
+def truncated_reconstructions(x, ns) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Rebuild x from its n lowest-frequency components, for every n in ns.
 
-    kind="dct" keeps orthonormal coefficients 0..n-1. kind="dft" keeps the DC
-    bin plus the ceil((n-1)/2) lowest conjugate bin pairs so the
-    reconstruction stays real. Returns (reconstruction, euclidean error).
+    x is transformed once per kind, and each n truncates a copy. The DCT keeps
+    orthonormal coefficients 0..n-1; the DFT keeps the DC bin plus the
+    ceil((n-1)/2) lowest conjugate bin pairs so the reconstruction stays real.
+    Returns rows (n, dct_reconstruction, dft_reconstruction) in the order of ns.
     """
     x = _as_signal(x)
     length = x.size
-    if not 1 <= n <= length:
-        raise ValueError(f"component count {n} outside [1, {length}]")
-    if kind == "dct":
-        spec = dct_forward(x, ORTHO)
-        kept = spec.coefficients.copy()
+    if not ns:
+        raise ValueError("ns must be nonempty")
+    for n in ns:
+        if not 1 <= n <= length:
+            raise ValueError(f"component count {n} outside [1, {length}]")
+    coefficients = dct_forward(x, ORTHO).coefficients
+    bins = dft_forward(x)
+    rows = []
+    for n in ns:
+        kept = coefficients.copy()
         kept[n:] = 0.0
-        recon = dct_inverse(Spectrum(kept, ORTHO))
-    elif kind == "dft":
-        bins = dft_forward(x)
+        kept_bins = bins.copy()
         top = n // 2  # ceil((n-1)/2)
-        bins[top + 1:length - top] = 0.0  # keep bins 0..top and L-top..L-1
-        recon = dft_inverse(bins)
-    else:
-        raise ValueError(f"unknown transform kind {kind!r}")
-    return recon, float(np.linalg.norm(recon - x))
+        kept_bins[top + 1:length - top] = 0.0  # keep bins 0..top and L-top..L-1
+        rows.append((n, dct_inverse(Spectrum(kept, ORTHO)), dft_inverse(kept_bins)))
+    return rows
 
 
-def boundary_overshoot_compare(x, n: int) -> tuple[float, float]:
-    """Max reconstruction error over the outermost two samples at each end,
-    for DCT- and DFT-truncation to n components.
+def edge_error(x, recon) -> float:
+    """Max reconstruction error over the outermost two samples at each end.
 
     The DFT's implicit periodic extension sees a jump whenever the signal's
     endpoints differ, so ramp-like inputs ring at the boundary; the even
     extension behind the DCT does not.
     """
     x = _as_signal(x)
-    dct_rec, _ = reconstruct_truncated(x, n, "dct")
-    dft_rec, _ = reconstruct_truncated(x, n, "dft")
     edge = np.r_[0:2, x.size - 2:x.size] if x.size >= 4 else np.arange(x.size)
-    dct_err = float(np.max(np.abs(dct_rec[edge] - x[edge])))
-    dft_err = float(np.max(np.abs(dft_rec[edge] - x[edge])))
-    return dct_err, dft_err
-
-
-def energy_compaction_report(x, ns) -> list[tuple[int, float, float]]:
-    """Reconstruction error of both transforms per component count.
-
-    Rows come back sorted by n as (n, dct_err, dft_err), ready for plotting.
-    """
-    ns = sorted(int(n) for n in ns)
-    if not ns:
-        raise ValueError("ns must be nonempty")
-    rows = []
-    for n in ns:
-        _, dct_err = reconstruct_truncated(x, n, "dct")
-        _, dft_err = reconstruct_truncated(x, n, "dft")
-        rows.append((n, dct_err, dft_err))
-    return rows
+    return float(np.max(np.abs(np.asarray(recon)[edge] - x[edge])))
 
 
 def low_frequency_signal(length: int = 16, components: int = 3) -> np.ndarray:

@@ -38,14 +38,14 @@ from fecam.nncore import (
 from fecam.spectral import (
     GIBBS_CONSTANT,
     UNNORMALIZED,
-    boundary_overshoot_compare,
     dct_forward,
     dct_via_even_dft,
-    energy_compaction_report,
+    edge_error,
     gibbs_overshoot,
     low_frequency_signal,
     square_wave_probe,
     square_wave_series,
+    truncated_reconstructions,
 )
 
 
@@ -93,7 +93,8 @@ def test_03_dct_matches_phase_corrected_even_dft_and_ramp_boundary():
         direct = dct_forward(x, UNNORMALIZED).coefficients
         worst = max(worst, float(np.max(np.abs(direct - dct_via_even_dft(x)))))
     ramp = np.arange(16, dtype=np.float64)
-    dct_err, dft_err = boundary_overshoot_compare(ramp, 5)
+    [(_, dct_rec, dft_rec)] = truncated_reconstructions(ramp, [5])
+    dct_err, dft_err = edge_error(ramp, dct_rec), edge_error(ramp, dft_rec)
     elapsed = time.perf_counter() - start
     print(f"criterion 3: worst identity error {worst:.3e}; ramp boundary "
           f"dct {dct_err:.4f} vs dft {dft_err:.4f}; {elapsed:.2f}s")
@@ -104,7 +105,9 @@ def test_03_dct_matches_phase_corrected_even_dft_and_ramp_boundary():
 
 def test_04_energy_compaction_on_16_sample_fixture():
     start = time.perf_counter()
-    rows = energy_compaction_report(low_frequency_signal(16), [5, 10, 15])
+    signal = low_frequency_signal(16)
+    rows = [(n, float(np.linalg.norm(dct - signal)), float(np.linalg.norm(dft - signal)))
+            for n, dct, dft in truncated_reconstructions(signal, [5, 10, 15])]
     elapsed = time.perf_counter() - start
     print(f"criterion 4: rows {rows} in {elapsed:.3f}s")
     for n, dct_err, dft_err in rows:

@@ -10,6 +10,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from fecam.data import (
     synth_series,
 )
 from fecam.forecaster import DivergenceError, ForecastModel, save_model
-from fecam.spectral import energy_compaction_report, low_frequency_signal
+from fecam.spectral import low_frequency_signal, truncated_reconstructions
 
 
 @pytest.fixture(autouse=True)
@@ -102,10 +103,14 @@ def test_train_bad_cells_exit_2_without_traceback(tmp_path, capsys, rows):
     assert not out.exists()
 
 
-def test_train_bad_config_exits_2(data_csv, tmp_path):
+def test_train_bad_config_exits_2(data_csv, tmp_path, capsys):
     code = cli.main(["train", "--data", str(data_csv), "--lookback", "33",
                      "--reduction", "2", "--out", str(tmp_path / "x")])
     assert code == 2
+    capsys.readouterr()
+    # The seed is checked before the data is read, so a missing file is not reached.
+    argv = ["train", "--data", str(tmp_path / "missing.csv"), "--seed", "-1"]
+    assert "seed must be >= 0, got -1" in assert_input_error(argv, tmp_path / "y", capsys)
 
 
 @pytest.mark.parametrize("split, sizes", [
@@ -123,12 +128,19 @@ def test_train_split_sizes(data_csv, tmp_path, split, sizes):
 
 
 @pytest.mark.parametrize("split", ["7:2", "7:2:x", "halves", "7:0:2", "nan:1:1", "1:1:inf",
-                                   "1e308:1e308:1", "inf:1:1", "1:1e308:1"])
+                                   "1e308:1e308:1", "inf:1:1", "1:1e308:1", "a:b:c"])
 def test_train_malformed_split_exits_2(data_csv, tmp_path, capsys, split):
     out = tmp_path / "never"
     assert run_train(data_csv, out, "--split", split) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("split", ["7:2", "7:2:x", "a:b:c", "halves"])
+def test_train_split_that_is_not_three_numbers_names_the_flag(data_csv, tmp_path, capsys, split):
+    argv = ["train", "--data", str(data_csv), "--split", split]
+    assert f"split must be a:b:c numbers or a preset ['conventional'], got {split!r}" in (
+        assert_input_error(argv, tmp_path / "never", capsys))
 
 
 @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"),
@@ -249,6 +261,15 @@ def test_env_var_overrides_out_flag(data_csv, tmp_path, monkeypatch):
     assert not (tmp_path / "from_flag").exists()
 
 
+def test_manifest_names_the_directory_fecam_out_chose(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("FECAM_OUT", "envout")
+    assert cli.main(["theorems", "--trials", "5", "--max-len", "16", "--out", "flagout"]) == 0
+    manifest = json.loads((tmp_path / "envout" / "manifest.json").read_text())
+    assert manifest["config"]["out"] == "envout"
+    assert not (tmp_path / "flagout").exists()
+
+
 # --- gibbs -----------------------------------------------------------------------
 
 def test_gibbs_writes_sweep_and_curves(tmp_path):
@@ -342,7 +363,9 @@ def test_compaction_fixture_table_and_reconstructions(tmp_path):
     assert b"\r" not in raw
     lines = raw.decode().strip().splitlines()
     assert lines[0] == "n,dct_err,dft_err"
-    rows = energy_compaction_report(low_frequency_signal(), [5, 10, 15])
+    signal = low_frequency_signal()
+    rows = [(n, np.linalg.norm(dct - signal), np.linalg.norm(dft - signal))
+            for n, dct, dft in truncated_reconstructions(signal, [5, 10, 15])]
     assert len(lines) == 1 + len(rows)
     for row, line in zip(rows, lines[1:]):
         n, dct_err, dft_err = line.split(",")
@@ -372,6 +395,21 @@ def test_compaction_ramp_writes_boundary_report(tmp_path):
     for line in lines[1:]:
         _, dct_err, dft_err = line.split(",")
         assert float(dct_err) < float(dft_err)
+
+
+def test_compaction_transforms_the_signal_once_per_kind(tmp_path, monkeypatch):
+    calls = {"dct_forward": 0, "dft_forward": 0}
+    for name in calls:
+        real = getattr(spectral, name)
+
+        def counted(*args, name=name, real=real, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, name, counted)
+    assert cli.main(["compaction", "--signal", "ramp", "--length", "64",
+                     "--components", "5,10,50", "--out", str(tmp_path / "ramp")]) == 0
+    assert calls == {"dct_forward": 1, "dft_forward": 1}
 
 
 def test_compaction_rejects_out_of_range_components(tmp_path):
@@ -537,14 +575,42 @@ BIAS = ("arrays", "projection.bias")
     ((*BIAS, "shape"), [16.0], "need a list 'shape'"),
     ((*BIAS, "shape"), [2 ** 70], "does not match shape"),
     (("meta", "lookback"), [32], "meta lookback, horizon and reduction must be integers"),
+    (("meta", "lookback"), 32.9, "meta lookback, horizon and reduction must be integers"),
+    (("meta", "reduction"), 0, "meta lookback, horizon and reduction must be integers"),
+    (("meta", "with_fecam"), 0.5, "with_fecam must be true or false, got 0.5"),
+    (("meta", "with_fecam"), "false", "with_fecam must be true or false, got 'false'"),
+    (("meta", "lookback"), 4000, "projection.weight: checkpoint shape (32, 16) != model shape"),
+    (("meta", "reduction"), 1, "fecam.excite1.weight: checkpoint shape (32, 16) != model shape"),
+    (("arrays",), {}, "checkpoint missing array 'projection.weight'"),
+    (("arrays", "fecam.excite1.weight"), DROP, "missing array 'fecam.excite1.weight'"),
 ], ids=["top-level-list", "no-arrays", "arrays-list", "meta-list", "entry-list",
         "no-data", "data-string", "data-objects", "no-shape", "shape-int", "shape-negative",
-        "shape-float", "shape-huge", "meta-lookback-list"])
+        "shape-float", "shape-huge", "meta-lookback-list", "meta-lookback-float",
+        "meta-reduction-zero", "meta-with-fecam-float", "meta-with-fecam-string",
+        "meta-lookback-large", "meta-reduction-mismatch", "arrays-empty", "no-excite1"])
 def test_attention_malformed_checkpoint_exits_2(data_csv, tmp_path, capsys, keys, value, message):
     ckpt = make_checkpoint(tmp_path)
     ckpt.write_text(json.dumps(edited(json.loads(ckpt.read_text()), keys, value)))
     argv = ["attention", "--checkpoint", str(ckpt), "--data", str(data_csv)]
     assert message in assert_input_error(argv, tmp_path / "x", capsys)
+
+
+def test_attention_checks_checkpoint_sizes_before_drawing_weights(data_csv, tmp_path, capsys):
+    # At 2000 x 2000 the projection and excitation weights would take tens of
+    # MiB; the file holds no arrays, so nothing that size may be allocated.
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps({
+        "format": "fecam-checkpoint", "version": 1, "arrays": {},
+        "meta": {"lookback": 2000, "horizon": 2000, "reduction": 2, "with_fecam": True}}))
+    argv = ["attention", "--checkpoint", str(ckpt), "--data", str(data_csv)]
+    tracemalloc.start()
+    try:
+        err = assert_input_error(argv, tmp_path / "x", capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "checkpoint missing array 'projection.weight'" in err
+    assert peak < 16 * 2 ** 20
 
 
 # --- theorems -------------------------------------------------------------------------
@@ -614,9 +680,97 @@ def test_theorems_out_of_memory_exits_2_without_outputs(tmp_path, capsys, monkey
     assert not out.exists()
 
 
-def test_theorems_validates_arguments(tmp_path):
+def test_theorems_validates_arguments(tmp_path, capsys):
     assert cli.main(["theorems", "--trials", "0", "--out", str(tmp_path / "x")]) == 2
     assert cli.main(["theorems", "--max-len", "2", "--out", str(tmp_path / "y")]) == 2
+    capsys.readouterr()
+    err = assert_input_error(["theorems", "--seed", "-1"], tmp_path / "z", capsys)
+    assert "seed must be >= 0, got -1" in err
+
+
+# --- failure contract fuzz -------------------------------------------------------------
+
+INTS = ["-1", "0", "1", "2", "-0", "1.5", "x", "", "nan"]
+RATES = ["-1", "0", "nan", "inf", "-inf", "-1e308", "x", ""]
+LISTS = ["", ",", "x", "0", "-5", "5,x", "1.5", "5,,10", "3,3", "17"]
+FUZZ_FLAGS = {
+    "train": {"--lookback": INTS, "--horizon": INTS, "--reduction": INTS,
+              "--batch-size": INTS, "--epochs": INTS, "--seed": INTS,
+              "--early-stop-patience": INTS, "--lr": RATES, "--lr-decay": RATES,
+              "--split": ["a:b:c", "7:2", "::", "-1:1:1", "nan:1:1", "1:1e308:1", "halves"]},
+    "gibbs": {"--orders": LISTS, "--curve-points": INTS, "--wave": ["sine", "triangle", "pulse"],
+              "--amplitude": [*RATES, "1e308"]},
+    "compaction": {"--length": INTS, "--components": LISTS, "--signal": ["ramp", "sawtooth"]},
+    "theorems": {"--trials": INTS, "--max-len": INTS, "--seed": INTS},
+}
+META_VALUES = [DROP, None, -1, 0, 32.9, "32", True, [32], 4000, 2 ** 70]
+ARRAY_EDITS = [("shape", DROP), ("shape", [-1]), ("shape", [2 ** 70]), ("shape", "16"),
+               ("data", DROP), ("data", "abc"), ("data", [None]), ("data", [float("nan")] * 16)]
+
+
+def fuzz_checkpoint(rng, payload: dict, path) -> None:
+    """Write payload with its meta, one array entry, or the file text broken."""
+    kind = int(rng.integers(3))
+    if kind == 0:
+        key = ["lookback", "horizon", "reduction", "with_fecam"][int(rng.integers(4))]
+        payload = edited(payload, ("meta", key), META_VALUES[int(rng.integers(len(META_VALUES)))])
+    elif kind == 1:
+        name = sorted(payload["arrays"])[int(rng.integers(len(payload["arrays"])))]
+        field, value = ARRAY_EDITS[int(rng.integers(len(ARRAY_EDITS)))]
+        payload = edited(payload, ("arrays", name, field), value)
+    text = json.dumps(payload)
+    if kind == 2:
+        text = text[:int(rng.integers(len(text)))]
+    path.write_text(text)
+
+
+def strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_fuzzed_flags_and_checkpoints_keep_the_failure_contract(data_csv, tmp_path, capsys):
+    # Each case breaks one or two flags of a small valid run, or one part of a
+    # valid checkpoint. Whatever the outcome, it must be a documented exit
+    # code, no traceback, no directory after a failure, and strict JSON.
+    base = {
+        "train": ["train", "--data", str(data_csv), "--lookback", "16", "--horizon", "8",
+                  "--epochs", "1"],
+        "gibbs": ["gibbs", "--orders", "10,100", "--curve-points", "32"],
+        "compaction": ["compaction", "--signal", "ramp", "--length", "16", "--components", "5,10"],
+        "theorems": ["theorems", "--trials", "5", "--max-len", "16"],
+    }
+    pristine = json.loads(make_checkpoint(tmp_path).read_text())
+    rng = np.random.default_rng(20261018)
+    codes = []
+    for case in range(40):
+        command = [*FUZZ_FLAGS, "attention"][int(rng.integers(5))]
+        if command == "attention":
+            ckpt = tmp_path / f"ckpt{case}.json"
+            fuzz_checkpoint(rng, json.loads(json.dumps(pristine)), ckpt)
+            argv = ["attention", "--checkpoint", str(ckpt), "--data", str(data_csv)]
+        else:
+            flags = list(FUZZ_FLAGS[command])
+            argv = list(base[command])
+            for i in rng.choice(len(flags), size=int(rng.integers(1, 3)), replace=False):
+                pool = FUZZ_FLAGS[command][flags[i]]
+                argv.append(f"{flags[i]}={pool[int(rng.integers(len(pool)))]}")
+        out = tmp_path / f"out{case}"
+        try:
+            code = cli.main([*argv, "--out", str(out)])
+        except SystemExit as exc:  # argparse rejects the value itself
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err, argv
+        if code in (2, 3):
+            assert not out.exists(), argv
+        for path in out.glob("*.json"):
+            strict_json(path.read_text())
+        codes.append(code)
+    assert set(codes) >= {0, 2}
 
 
 # --- packaging ---------------------------------------------------------------------------

@@ -17,24 +17,23 @@ from fecam.spectral import (
     FourierSeriesModel,
     JumpProbe,
     Spectrum,
-    boundary_overshoot_compare,
     dct_forward,
     dct_inverse,
     dct_matrix,
     dct_via_even_dft,
     dft_forward,
     dft_inverse,
-    energy_compaction_report,
+    edge_error,
     fourier_partial_sum,
     gibbs_overshoot,
     gibbs_sweep,
     low_frequency_signal,
     pulse_wave_probe,
     pulse_wave_series,
-    reconstruct_truncated,
     square_wave_probe,
     square_wave_series,
     symmetric_extension,
+    truncated_reconstructions,
 )
 
 
@@ -342,36 +341,37 @@ def test_gibbs_sweep_rows():
 
 # --- truncated reconstruction -------------------------------------------------
 
+def truncation_errors(x, ns):
+    """Rows (n, dct_err, dft_err) of euclidean reconstruction errors, as compaction.csv."""
+    return [(n, float(np.linalg.norm(dct - x)), float(np.linalg.norm(dft - x)))
+            for n, dct, dft in truncated_reconstructions(x, ns)]
+
+
 def test_full_reconstruction_is_exact_both_kinds():
     rng = np.random.default_rng(23)
     x = rng.normal(size=16)
-    for kind in ("dct", "dft"):
-        _, err = reconstruct_truncated(x, 16, kind)
-        assert err < 1e-9
+    [(_, dct_err, dft_err)] = truncation_errors(x, [16])
+    assert dct_err < 1e-9 and dft_err < 1e-9
 
 
 def test_signal_inside_kept_subspace_has_zero_error():
     i = np.arange(12)
     x = np.cos(np.pi * 2 / 12 * (i + 0.5))  # pure index-2 basis vector
-    _, err = reconstruct_truncated(x, 3, "dct")
-    assert err < 1e-12
+    [(_, dct_err, _)] = truncation_errors(x, [3])
+    assert dct_err < 1e-12
 
 
 def test_low_frequency_fixture_favors_dct_at_n5():
-    sig = low_frequency_signal()
-    _, dct_err = reconstruct_truncated(sig, 5, "dct")
-    _, dft_err = reconstruct_truncated(sig, 5, "dft")
+    [(_, dct_err, dft_err)] = truncation_errors(low_frequency_signal(), [5])
     assert dct_err < dft_err
     assert dft_err == pytest.approx(1.100724643550, abs=1e-9)  # frozen
 
 
 def test_component_count_out_of_range():
-    with pytest.raises(ValueError):
-        reconstruct_truncated(np.ones(8), 0, "dct")
-    with pytest.raises(ValueError):
-        reconstruct_truncated(np.ones(8), 9, "dft")
-    with pytest.raises(ValueError):
-        reconstruct_truncated(np.ones(8), 4, "wavelet")
+    with pytest.raises(ValueError, match="component count 0 outside"):
+        truncated_reconstructions(np.ones(8), [0])
+    with pytest.raises(ValueError, match="component count 9 outside"):
+        truncated_reconstructions(np.ones(8), [4, 9])
 
 
 @pytest.mark.parametrize("length", [7, 8])
@@ -388,50 +388,63 @@ def test_dft_truncation_keeps_dc_and_lowest_bin_pairs(length, monkeypatch):
     monkeypatch.setattr(spectral, "dft_inverse", spy)
     x = np.random.default_rng(31).normal(size=length)
     bins = dft_forward(x)
-    for n in range(1, length + 1):
+    rows = truncated_reconstructions(x, range(1, length + 1))
+    assert len(passed) == len(rows) == length
+    for sent, (n, _, recon) in zip(passed, rows):
         keep = np.zeros(length, dtype=bool)
         keep[0] = True
         for k in range(1, math.ceil((n - 1) / 2) + 1):
             keep[k] = True
             keep[length - k] = True
         expected = np.where(keep, bins, 0.0)
-        recon, _ = reconstruct_truncated(x, n, "dft")
-        np.testing.assert_array_equal(passed.pop(), expected)
+        np.testing.assert_array_equal(sent, expected)
         np.testing.assert_array_equal(recon, inverse(expected))
 
 
 def test_dft_truncation_output_is_real_for_random_input():
     rng = np.random.default_rng(29)
     x = rng.normal(size=16)
-    recon, _ = reconstruct_truncated(x, 6, "dft")
+    [(_, _, recon)] = truncated_reconstructions(x, [6])
     assert recon.dtype == np.float64
+
+
+def test_rows_follow_the_given_order():
+    rows = truncated_reconstructions(low_frequency_signal(), [15, 5, 5])
+    assert [n for n, _, _ in rows] == [15, 5, 5]
+    np.testing.assert_array_equal(rows[1][1], rows[2][1])
+    np.testing.assert_array_equal(rows[1][2], rows[2][2])
 
 
 # --- boundary overshoot comparison ---------------------------------------------
 
+def edge_errors(x, n):
+    [(_, dct, dft)] = truncated_reconstructions(x, [n])
+    return edge_error(x, dct), edge_error(x, dft)
+
+
 def test_ramp_boundary_error_dct_below_dft():
     ramp = np.arange(16, dtype=float)
-    dct_err, dft_err = boundary_overshoot_compare(ramp, 5)
+    dct_err, dft_err = edge_errors(ramp, 5)
     assert dct_err < dft_err
     assert dct_err == pytest.approx(0.3778647, abs=1e-6)  # frozen
     assert dft_err == pytest.approx(5.5, abs=1e-9)        # frozen
 
 
 def test_constant_signal_has_no_boundary_error():
-    dct_err, dft_err = boundary_overshoot_compare(np.full(16, 3.0), 4)
+    dct_err, dft_err = edge_errors(np.full(16, 3.0), 4)
     assert dct_err < 1e-12 and dft_err < 1e-12
 
 
 def test_full_truncation_has_no_boundary_error():
     ramp = np.arange(16, dtype=float)
-    dct_err, dft_err = boundary_overshoot_compare(ramp, 16)
+    dct_err, dft_err = edge_errors(ramp, 16)
     assert dct_err < 1e-9 and dft_err < 1e-9
 
 
 # --- energy compaction ----------------------------------------------------------
 
 def test_compaction_report_on_fixture():
-    rows = energy_compaction_report(low_frequency_signal(), [5, 10, 15])
+    rows = truncation_errors(low_frequency_signal(), [5, 10, 15])
     assert [r[0] for r in rows] == [5, 10, 15]
     for _, dct_err, dft_err in rows:
         assert dct_err < dft_err
@@ -443,15 +456,15 @@ def test_compaction_report_on_fixture():
 
 
 def test_compaction_full_count_both_zero():
-    rows = energy_compaction_report(low_frequency_signal(), [16])
+    rows = truncation_errors(low_frequency_signal(), [16])
     assert rows[0][1] < 1e-9 and rows[0][2] < 1e-9
 
 
 def test_compaction_single_component_on_constant():
-    rows = energy_compaction_report(np.full(16, 2.0), [1])
+    rows = truncation_errors(np.full(16, 2.0), [1])
     assert rows[0][1] < 1e-12 and rows[0][2] < 1e-12
 
 
 def test_compaction_rejects_empty_ns():
     with pytest.raises(ValueError):
-        energy_compaction_report(low_frequency_signal(), [])
+        truncated_reconstructions(low_frequency_signal(), [])
