@@ -135,10 +135,11 @@ def fecam_backward(upstream, block: Excitation, cache: dict) -> np.ndarray:
 
 
 def export_attention(mean_att, path) -> np.ndarray:
-    """Write a window-averaged (C, L) attention map as a frequency-by-channel CSV.
+    """Write a window-averaged (C, L) attention map as a position-by-channel CSV.
 
-    Rows run from the lowest frequency index to the highest; one column per
-    channel. Returns the (L, C) matrix that was written.
+    fecam_forward scales the time-domain input elementwise, so row l is the
+    weight of lookback position l, oldest first; one column per channel.
+    Returns the (L, C) matrix that was written.
     """
     mean_att = np.asarray(mean_att, dtype=np.float64)
     if mean_att.ndim != 2:

@@ -6,9 +6,11 @@ sliding-window generation, deterministic synthetic series for tests and
 smoke runs, and the CSV writer every artifact goes through. Everything stays
 in memory; input files are never mutated.
 
-CSV value cells are parsed in one numpy conversion with Python's float()
-rules (a second, stripping pass runs only when a cell is blank), and missing
-cells are found and forward-filled with array operations.
+A clean CSV (no quote, no lone CR, no ragged, blank, NaN or infinite cell,
+timestamps of one kind and strictly increasing) is read in one np.loadtxt
+call. Every other file goes through csv.reader and one numpy conversion of
+the stripped cells with Python's float() rules; that reader alone reports
+errors, and finds and forward-fills missing cells with array operations.
 Windows are read-only zero-copy views of the series, so windowing a T x C
 series costs O(T*C) memory, not O(N*C*(L+O)) for N windows.
 """
@@ -82,6 +84,35 @@ def _raise_unparseable(value_rows, line_numbers, channel_names) -> None:
                     f"line {line_no}: unparseable value {cell!r} in column {name!r}") from None
 
 
+def _columns(header: list[str], date_column: str | int) -> tuple[int, list[str]]:
+    """(timestamp column index, channel names in file order) for a stripped header."""
+    if isinstance(date_column, int):
+        ts_index = date_column
+        if not 0 <= ts_index < len(header):
+            raise ValueError(f"timestamp column index {ts_index} out of range")
+    else:
+        try:
+            ts_index = header.index(date_column)
+        except ValueError:
+            raise ValueError(f"no column named {date_column!r} in header") from None
+    return ts_index, [h for i, h in enumerate(header) if i != ts_index]
+
+
+def _timestamp_fault(timestamps: list) -> tuple[int, str] | None:
+    """(index, reason) of the first timestamp that is not of its predecessor's
+    kind or not above it; None when the whole list is strictly increasing."""
+    for i, (a, b) in enumerate(zip(timestamps, timestamps[1:]), start=1):
+        if type(a) is not type(b):
+            return i, "timestamp type differs from previous rows"
+        try:
+            increasing = a < b
+        except TypeError:
+            return i, "timestamp mixes naive and offset-aware times with the previous row"
+        if not increasing:
+            return i, "timestamps not strictly increasing"
+    return None
+
+
 def load_csv(path, date_column: str | int = 0, fill_policy: str = "reject") -> RawSeries:
     """Read a CSV whose rows are (timestamp, value, value, ...).
 
@@ -96,6 +127,71 @@ def load_csv(path, date_column: str | int = 0, fill_policy: str = "reject") -> R
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such file: {path}")
+    series = _read_clean(path, date_column)
+    if series is None:
+        series = _read_validating(path, date_column, fill_policy)
+    return series
+
+
+def _read_clean(path: Path, date_column: str | int) -> RawSeries | None:
+    """The series of a provably clean file, from one np.loadtxt call; else None.
+
+    A file is clean when it decodes, holds no quote character, ends its lines
+    only in LF or CRLF, has no line longer than csv's field size limit, names
+    its timestamp column, gives every non-empty line exactly the header's
+    comma count, has only value cells that np.loadtxt parses to finite
+    floats, and has timestamps of one kind in strictly increasing order. On
+    such a file csv.reader splits the cells exactly as str.split(",") does,
+    and every cell np.loadtxt accepts reads to the same bits under
+    _read_validating's rule, float() of the stripped cell (np.loadtxt rejects
+    some cells that rule reads, such as 1_0, never the reverse), so the
+    result equals _read_validating's. Every other file is declined:
+    _read_validating alone reports errors, fills missing cells and reads
+    quoted cells.
+    """
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if '"' in text:
+        return None
+    text = text.replace("\r\n", "\n")
+    if "\r" in text:
+        return None
+    # Not str.splitlines(): it also breaks at characters csv.reader keeps in a cell.
+    header, *lines = text.split("\n")
+    lines = [line for line in lines if line]
+    if not lines or max(len(header), *map(len, lines)) > csv.field_size_limit():
+        return None
+    header = [h.strip() for h in header.split(",")]
+    if len(header) < 2:
+        return None
+    try:
+        ts_index, channel_names = _columns(header, date_column)
+    except ValueError:
+        return None
+    # np.loadtxt with usecols ignores extra cells, so the count is what rejects ragged rows.
+    commas = len(header) - 1
+    if any(line.count(",") != commas for line in lines):
+        return None
+    try:
+        # comments=None: the default "#" would cut a cell short.
+        observations = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                                  usecols=[i for i in range(len(header)) if i != ts_index])
+        # The line number only feeds an error message, which a decline drops.
+        timestamps = [_parse_timestamp(line.split(",", ts_index + 1)[ts_index], 0)
+                      for line in lines]
+    except ValueError:
+        return None
+    if not np.isfinite(observations).all() or _timestamp_fault(timestamps) is not None:
+        return None
+    return RawSeries(timestamps, observations, channel_names)
+
+
+def _read_validating(path: Path, date_column: str | int, fill_policy: str) -> RawSeries:
+    """csv.reader and float() of each stripped cell, for any file; every
+    error names the line of the first fault."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -105,16 +201,7 @@ def load_csv(path, date_column: str | int = 0, fill_policy: str = "reject") -> R
         if len(header) < 2:
             raise ValueError(f"{path}: need a timestamp column plus at least one channel")
         header = [h.strip() for h in header]
-        if isinstance(date_column, int):
-            ts_index = date_column
-            if not 0 <= ts_index < len(header):
-                raise ValueError(f"timestamp column index {ts_index} out of range")
-        else:
-            try:
-                ts_index = header.index(date_column)
-            except ValueError:
-                raise ValueError(f"no column named {date_column!r} in header") from None
-        channel_names = [h for i, h in enumerate(header) if i != ts_index]
+        ts_index, channel_names = _columns(header, date_column)
 
         timestamps = []
         value_rows = []
@@ -131,16 +218,13 @@ def load_csv(path, date_column: str | int = 0, fill_policy: str = "reject") -> R
     if not value_rows:
         raise ValueError(f"{path}: no data rows")
     # The conversion follows float(), which ignores surrounding whitespace, so
-    # only blank cells make it fail on valid input; they are missing, like NaN.
+    # only blank cells would make it fail on valid input; they are missing, like NaN.
+    value_rows = [[cell.strip() or "nan" for cell in row] for row in value_rows]
     try:
         observations = np.array(value_rows, dtype=np.float64)
     except ValueError:
-        value_rows = [[cell.strip() or "nan" for cell in row] for row in value_rows]
-        try:
-            observations = np.array(value_rows, dtype=np.float64)
-        except ValueError:
-            _raise_unparseable(value_rows, line_numbers, channel_names)
-            raise
+        _raise_unparseable(value_rows, line_numbers, channel_names)
+        raise
     missing = np.isnan(observations)
     if missing.any():
         row, col = np.argwhere(missing)[0]
@@ -151,17 +235,10 @@ def load_csv(path, date_column: str | int = 0, fill_policy: str = "reject") -> R
         source = np.where(missing, 0, np.arange(len(observations))[:, None])
         np.maximum.accumulate(source, axis=0, out=source)
         observations = np.take_along_axis(observations, source, axis=0)
-    for line_no, a, b in zip(line_numbers[1:], timestamps, timestamps[1:]):
-        if type(a) is not type(b):
-            raise ValueError(f"line {line_no}: timestamp type differs from previous rows")
-        try:
-            increasing = a < b
-        except TypeError:
-            raise ValueError(
-                f"line {line_no}: timestamp mixes naive and offset-aware times "
-                "with the previous row") from None
-        if not increasing:
-            raise ValueError(f"line {line_no}: timestamps not strictly increasing")
+    fault = _timestamp_fault(timestamps)
+    if fault is not None:
+        index, reason = fault
+        raise ValueError(f"line {line_numbers[index]}: {reason}")
     infinite = np.isinf(observations)
     if infinite.any():
         row, col = np.argwhere(infinite)[0]

@@ -176,7 +176,8 @@ def train(model: ForecastModel, train_ds: WindowedDataset, val_ds: WindowedDatas
 
     History rows are (epoch, train_loss, val_loss). The model keeps the
     weights of its best validation epoch, not necessarily the last one.
-    Raises DivergenceError the moment any batch loss turns non-finite.
+    Raises DivergenceError the moment any batch loss turns non-finite or any
+    step or validation pass overflows.
     """
     _check_dataset(train_ds, model, "train")
     _check_dataset(val_ds, model, "val")
@@ -187,35 +188,45 @@ def train(model: ForecastModel, train_ds: WindowedDataset, val_ds: WindowedDatas
     best_values = model.values.copy()
     stale_epochs = 0
 
-    for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(train_ds.n_windows)
-        sq_sum = 0.0
-        count = 0
-        for start in range(0, train_ds.n_windows, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            model.zero_grad()
-            cache = {}
-            pred = model_forward(model, train_ds.inputs[idx], cache)
-            loss, d_loss = mse_loss(pred, train_ds.targets[idx])
-            if not np.isfinite(loss):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, batch starting at {start}; "
-                    f"try a lower learning rate (current {state.learning_rate:g})")
-            model_backward(model, d_loss, cache)
-            adam_step([model.values], [model.grads], state)
-            sq_sum += loss * pred.size
-            count += pred.size
-        val_mse = evaluate(model, val_ds).mse
-        history.append((epoch, sq_sum / count, val_mse))
-        if val_mse < best_val:
-            best_val = val_mse
-            np.copyto(best_values, model.values)
-            stale_epochs = 0
-        else:
-            stale_epochs += 1
-            if stale_epochs >= config.early_stop_patience:
-                break
-        state.learning_rate *= config.lr_decay
+    # Data and initial weights are finite, so an overflow or invalid operation
+    # anywhere in a step or in validation means the weights have diverged.
+    # numpy raises it where it happens rather than passing inf or NaN on to a
+    # later input check; sigmoid's expected exp overflow stays silenced inside it.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(config.epochs):
+                order = shuffle_rng.permutation(train_ds.n_windows)
+                sq_sum = 0.0
+                count = 0
+                for start in range(0, train_ds.n_windows, config.batch_size):
+                    idx = order[start:start + config.batch_size]
+                    model.zero_grad()
+                    cache = {}
+                    pred = model_forward(model, train_ds.inputs[idx], cache)
+                    loss, d_loss = mse_loss(pred, train_ds.targets[idx])
+                    if not np.isfinite(loss):
+                        raise DivergenceError(
+                            f"non-finite loss at epoch {epoch}, batch starting at {start}; "
+                            f"try a lower learning rate (current {state.learning_rate:g})")
+                    model_backward(model, d_loss, cache)
+                    adam_step([model.values], [model.grads], state)
+                    sq_sum += loss * pred.size
+                    count += pred.size
+                val_mse = evaluate(model, val_ds).mse
+                history.append((epoch, sq_sum / count, val_mse))
+                if val_mse < best_val:
+                    best_val = val_mse
+                    np.copyto(best_values, model.values)
+                    stale_epochs = 0
+                else:
+                    stale_epochs += 1
+                    if stale_epochs >= config.early_stop_patience:
+                        break
+                state.learning_rate *= config.lr_decay
+    except FloatingPointError as exc:
+        raise DivergenceError(
+            f"{exc} at epoch {epoch}; try a lower learning rate "
+            f"(current {state.learning_rate:g})") from None
 
     np.copyto(model.values, best_values)
     return model, history

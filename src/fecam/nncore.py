@@ -69,9 +69,11 @@ def dense_forward(layer: DenseLayer, x) -> np.ndarray:
     if x.shape[-1] != layer.in_dim:
         raise ValueError(
             f"last axis is {x.shape[-1]}, layer expects {layer.in_dim}")
-    y = x @ layer.weight
+    # One (rows, in_dim) product rather than numpy's stacked matmul over the
+    # leading axes; reshape copies only an input that is not contiguous.
+    y = x.reshape(-1, layer.in_dim) @ layer.weight
     y += layer.bias
-    return y
+    return y.reshape(*x.shape[:-1], layer.out_dim)
 
 
 def dense_backward(layer: DenseLayer, upstream, x) -> np.ndarray:
@@ -89,7 +91,7 @@ def dense_backward(layer: DenseLayer, upstream, x) -> np.ndarray:
     flat_up = upstream.reshape(-1, layer.out_dim)
     layer.weight_grad += flat_x.T @ flat_up
     layer.bias_grad += flat_up.sum(axis=0)
-    return upstream @ layer.weight.T
+    return (flat_up @ layer.weight.T).reshape(*x.shape[:-1], layer.in_dim)
 
 
 def relu_forward(x, out: np.ndarray | None = None) -> np.ndarray:

@@ -205,6 +205,25 @@ def test_divergence_maps_to_exit_3(data_csv, tmp_path, monkeypatch, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("extra", [(), ("--ablation",)], ids=["fecam", "ablation"])
+@pytest.mark.parametrize("lr", ["1e308", "1e200"])
+def test_overflowing_learning_rate_is_a_divergence(data_csv, tmp_path, capsys, lr, extra):
+    # pytest turns RuntimeWarning into an error here, so a numpy overflow
+    # warning anywhere in the run fails the test.
+    out = tmp_path / "run"
+    assert run_train(data_csv, out, f"--lr={lr}", *extra) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: overflow encountered in ") and "Traceback" not in err
+    assert f"try a lower learning rate (current {float(lr):g})" in err
+    assert not out.exists()
+
+
+def test_large_finite_learning_rate_still_trains(data_csv, tmp_path):
+    out = tmp_path / "run"
+    assert run_train(data_csv, out, "--lr=1e9") == 0
+    assert np.isfinite(json.loads((out / "metrics.json").read_text())["mse"])
+
+
 @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
 def test_out_path_that_is_a_file_exits_2(data_csv, tmp_path, monkeypatch, capsys, via_env):
     target = tmp_path / "afile"
@@ -724,6 +743,49 @@ def fuzz_checkpoint(rng, payload: dict, path) -> None:
     path.write_text(text)
 
 
+CELL_BREAKS = ['"{}"', "", " ", "nan", "inf", "-inf", "1e999", "-1e999", "{}#1", "1_0", "\u0661"]
+LINE_BREAKS = ["long", "short", "whitespace", "iso-stamp", "aware-stamp", "repeat-stamp",
+               "cr", "crlf-and-cr", "bom", "header-only"]
+
+
+def fuzz_csv(rng, text: str) -> str:
+    """Break one cell, one line or the line ends of a valid CSV with numeric or ISO stamps."""
+    header, *lines = text.splitlines()
+    rows = [line.split(",") for line in lines]
+    if rng.integers(2):
+        for r, row in enumerate(rows):
+            row[0] = f"2016-07-{1 + r // 24:02d}T{r % 24:02d}:00"  # hourly, under 31 days
+    r = int(rng.integers(1, len(rows)))
+    if rng.integers(2):
+        c = int(rng.integers(1, len(rows[r])))
+        rows[r][c] = CELL_BREAKS[int(rng.integers(len(CELL_BREAKS)))].format(rows[r][c])
+        return "\n".join([header, *map(",".join, rows)]) + "\n"
+    kind = LINE_BREAKS[int(rng.integers(len(LINE_BREAKS)))]
+    if kind == "long":
+        rows[r].append("1")
+    elif kind == "short":
+        rows[r].pop()
+    elif kind == "iso-stamp":
+        rows[r][0] = "2016-07-01T00:00"
+    elif kind == "aware-stamp":  # an offset on an ISO stamp, an overflowing number otherwise
+        rows[r][0] = rows[r][0] + "+00:00" if ":" in rows[r][0] else "1e999"
+    elif kind == "repeat-stamp":
+        rows[r][0] = rows[r - 1][0]
+    lines = [header, *map(",".join, rows)]
+    if kind == "whitespace":
+        lines.insert(r, "  ")
+    elif kind == "header-only":
+        lines = [header]
+    text = "\n".join(lines) + "\n"
+    if kind == "cr":
+        text = text.replace("\n", "\r")
+    elif kind == "crlf-and-cr":
+        text = text.replace("\n", "\r\n").replace("\r\n", "\r", 1)
+    elif kind == "bom":
+        text = "\ufeff" + text
+    return text
+
+
 def strict_json(text: str):
     def reject(constant):
         raise ValueError(f"non-standard JSON constant {constant}")
@@ -771,6 +833,37 @@ def test_fuzzed_flags_and_checkpoints_keep_the_failure_contract(data_csv, tmp_pa
             strict_json(path.read_text())
         codes.append(code)
     assert set(codes) >= {0, 2}
+
+    # Extreme finite rates: one that overflows a training step diverges, one that does not trains.
+    for rate, expected in (("1e308", 3), ("1e9", 0)):
+        out = tmp_path / f"rate{rate}"
+        assert cli.main([*base["train"], f"--lr={rate}", "--out", str(out)]) == expected
+        assert "Traceback" not in capsys.readouterr().err
+        assert out.exists() == (expected == 0)
+
+    # Broken data files, for train and attention: exit 0, 2 or 3, never a traceback.
+    csv_rng = np.random.default_rng(20261019)
+    csv_codes = []
+    ckpt = make_checkpoint(tmp_path)
+    for case in range(30):
+        path = tmp_path / f"data{case}.csv"
+        path.write_text(fuzz_csv(csv_rng, data_csv.read_text()), newline="")
+        if csv_rng.integers(2):
+            argv = ["attention", "--checkpoint", str(ckpt)]
+        else:
+            argv = ["train", "--lookback", "16", "--horizon", "8", "--epochs", "1"]
+        argv += ["--data", str(path), "--fill-policy", ["reject", "ffill"][int(csv_rng.integers(2))]]
+        out = tmp_path / f"csv_out{case}"
+        code = cli.main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in err, argv
+        if code in (2, 3):
+            assert not out.exists(), argv
+        for result in out.glob("*.json"):
+            strict_json(result.read_text())
+        csv_codes.append(code)
+    assert set(csv_codes) >= {0, 2}
 
 
 # --- packaging ---------------------------------------------------------------------------

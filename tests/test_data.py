@@ -12,6 +12,8 @@ from fecam.data import (
     RawSeries,
     Standardizer,
     _parse_timestamp,
+    _read_clean,
+    _read_validating,
     chronological_split,
     fit_standardizer,
     load_csv,
@@ -195,8 +197,11 @@ def reference_load(path, fill_policy):
     return timestamps, np.array(rows), None
 
 
-def valid_cell(rng, value):
-    """One of several spellings that float() reads back as exactly `value`."""
+def valid_cell(rng, value, clean=False):
+    """One of several spellings that float() reads back as exactly `value`.
+
+    With clean=True, only spellings the fast read takes: no quotes, no underscores.
+    """
     spellings = [repr(value), f"  {value!r} ", f"\t{value!r}", f'"{value!r}"',
                  f'" {value!r} "', f"{value:+.17e}", f"{value:.17E}"]
     if value == int(value):
@@ -206,13 +211,15 @@ def valid_cell(rng, value):
             spellings += ["-0", "0_0", "-0."]
     if 0 < value < 1:
         spellings.append(repr(value)[1:])  # ".5"
+    if clean:
+        spellings = [s for s in spellings if '"' not in s and "_" not in s]
     return spellings[rng.integers(len(spellings))]
 
 
 MISSING_SPELLINGS = ("", " ", '""', "NaN", "nan", "-nan")
 
 
-def random_csv(rng, rows, channels, kind, holes):
+def random_csv(rng, rows, channels, kind, holes, clean=False):
     if kind == 0:
         values = rng.normal(size=(rows, channels)) * 10.0
     elif kind == 1:
@@ -222,7 +229,7 @@ def random_csv(rng, rows, channels, kind, holes):
     iso = bool(rng.integers(2))
     lines = ["stamp," + ",".join(f"ch{c}" for c in range(channels))]
     for r in range(rows):
-        cells = [valid_cell(rng, float(v)) for v in values[r]]
+        cells = [valid_cell(rng, float(v), clean) for v in values[r]]
         for c in range(channels):
             # Whole missing rows, runs down column 0, and scattered cells.
             if holes and r > 0 and (r % 7 == 3 or (c == 0 and r % 11 in (5, 6, 7))
@@ -238,20 +245,114 @@ def random_csv(rng, rows, channels, kind, holes):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_bulk_parse_matches_per_cell_reference(tmp_path, seed):
+    # Each seed gives a file in every spelling, which the fast read must
+    # decline when a cell is missing, and a clean file of the same shape,
+    # which it must take; whatever reads a file must match the reference.
     rng = np.random.default_rng(seed)
-    text = random_csv(rng, int(rng.integers(2, 60)), int(rng.integers(1, 5)),
-                      kind=seed % 3, holes=seed % 2)
+    rows, channels = int(rng.integers(2, 60)), int(rng.integers(1, 5))
+    text = random_csv(rng, rows, channels, kind=seed % 3, holes=seed % 2)
+    clean_text = random_csv(np.random.default_rng([seed, 1]), rows, channels,
+                            kind=seed % 3, holes=0, clean=True)
+    for name, text in (("any.csv", text), ("clean.csv", clean_text)):
+        path = write(tmp_path, text, name)
+        fast = _read_clean(path, 0)
+        if name == "clean.csv":
+            assert fast is not None
+        for policy in ("reject", "ffill"):
+            timestamps, observations, message = reference_load(path, policy)
+            if message is not None:
+                for read in (load_csv, _read_validating):
+                    with pytest.raises(ValueError, match=f"^{message}$"):
+                        read(path, 0, policy)
+                assert fast is None
+                continue
+            for series in (load_csv(path, 0, policy), _read_validating(path, 0, policy), fast):
+                if series is None:
+                    continue
+                assert series.timestamps == timestamps
+                assert series.observations.dtype == np.float64
+                assert series.observations.tobytes() == observations.tobytes()
+
+
+def read_outcome(read, *args):
+    """What a reader gives for a file: (timestamps, observation bytes, names) or its error."""
+    try:
+        series = read(*args)
+    except ValueError as exc:
+        return str(exc)
+    return series.timestamps, series.observations.tobytes(), series.channel_names
+
+
+# (id, file text, date column, whether the fast read takes the file, and
+# load_csv's outcome under the reject policy: None when it loads, else the
+# message). Every outcome is the one load_csv gave before the fast read existed.
+FAST_READ_CASES = [
+    ("clean", "time,a,b\n0,1.5,-2\n\n1, 2.25 ,3e2\n", 0, True, None),
+    ("crlf-and-lf", "time,a\r\n0,1\n1,2\r\n", 0, True, None),
+    ("padded-with-separators", "time,a\n0,\x1c1\x1f\n1,\u30002\n", 0, True, None),
+    ("bom-header", "\ufefftime,a\n0,1\n1,2\n", 0, True, None),
+    ("bom-header-by-name", "\ufefftime,a\n0,1\n1,2\n", "time", False,
+     "no column named 'time' in header"),
+    ("quoted", 'time,a\n0,"1.5"\n1," 2"\n', 0, False, None),
+    ("quoted-header", 'time,"a",b\n0,1,2\n', 0, False, None),
+    ("cr-only", "time,a\r0,1\r1,2\r", 0, False, None),
+    ("cr-in-header", "time,a\rb,c\n0,1,2\n", 0, False, "line 2: unparseable timestamp 'b'"),
+    ("crlf-and-cr", "time,a\r\n0,1\r1,2\r\n", 0, False, None),
+    ("long-row", "time,a\n0,1\n1,2,3\n", 0, False, "line 3: expected 2 cells, got 3"),
+    ("short-row", "time,a,b\n0,1,2\n1,2\n", 0, False, "line 3: expected 3 cells, got 2"),
+    ("long-row-last-column-stamp", "a,time\n1,0\n2,1,7\n", 1, False,
+     "line 3: expected 2 cells, got 3"),
+    ("whitespace-line", "time,a\n0,1\n  \n1,2\n", 0, False, "line 3: expected 2 cells, got 1"),
+    ("blank-cell", "time,a\n0,1\n1,\n", 0, False, "line 3: missing value in column 'a'"),
+    ("nan-cell", "time,a\n0,1\n1,nan\n", 0, False, "line 3: missing value in column 'a'"),
+    ("inf-cell", "time,a\n0,1\n1,inf\n", 0, False, "line 3: infinite value in column 'a'"),
+    ("overflowing-cell", "time,a\n0,1\n1,1e999\n", 0, False,
+     "line 3: infinite value in column 'a'"),
+    ("hash-in-cell", "time,a\n0,1#2\n1,2\n", 0, False,
+     "line 2: unparseable value '1#2' in column 'a'"),
+    ("underscore", "time,a\n0,1_0\n1,2\n", 0, False, None),
+    ("unicode-digit", "time,a\n0,\u0661\n1,2\n", 0, False, None),
+    ("naive-and-aware", "time,a\n2020-01-01T00:00,1\n2020-01-01T01:00+00:00,2\n", 0, False,
+     "line 3: timestamp mixes naive and offset-aware times with the previous row"),
+    ("number-and-iso", "time,a\n0,1\n2020-01-01T00:00,2\n", 0, False,
+     "line 3: timestamp type differs from previous rows"),
+    ("not-increasing", "time,a\n1,1\n1,2\n", 0, False, "line 3: timestamps not strictly increasing"),
+    ("bad-stamp", "time,a\n0,1\nnoon,2\n", 0, False, "line 3: unparseable timestamp 'noon'"),
+    ("header-only", "time,a\n", 0, False, "{path}: no data rows"),
+    ("empty", "", 0, False, "{path}: empty file"),
+    ("one-column", "time\n0\n", 0, False,
+     "{path}: need a timestamp column plus at least one channel"),
+    ("column-out-of-range", "time,a\n0,1\n", 2, False, "timestamp column index 2 out of range"),
+]
+
+
+@pytest.mark.parametrize("text, date_column, accepted, expected",
+                         [case[1:] for case in FAST_READ_CASES],
+                         ids=[case[0] for case in FAST_READ_CASES])
+def test_fast_read_takes_only_clean_files_and_agrees_with_the_validating_reader(
+        tmp_path, text, date_column, accepted, expected):
     path = write(tmp_path, text)
+    fast = _read_clean(path, date_column)
+    assert (fast is not None) == accepted
     for policy in ("reject", "ffill"):
-        timestamps, observations, message = reference_load(path, policy)
-        if message is not None:
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                load_csv(path, fill_policy=policy)
-            continue
-        series = load_csv(path, fill_policy=policy)
-        assert series.timestamps == timestamps
-        assert series.observations.dtype == np.float64
-        assert series.observations.tobytes() == observations.tobytes()
+        outcome = read_outcome(load_csv, path, date_column, policy)
+        assert outcome == read_outcome(_read_validating, path, date_column, policy)
+        if fast is not None:
+            assert read_outcome(_read_clean, path, date_column) == outcome
+    outcome = read_outcome(load_csv, path, date_column)
+    if expected is None:
+        assert not isinstance(outcome, str), outcome
+    else:
+        assert outcome == expected.format(path=path)
+
+
+def test_fast_read_declines_lines_past_the_csv_field_limit(tmp_path):
+    # csv.reader refuses such a cell, so load_csv raises as it always has; the
+    # cell reads as 1.0, so nothing but the length declines it.
+    path = write(tmp_path, "time,a\n0," + "0" * csv.field_size_limit() + "1\n")
+    assert _read_clean(path, 0) is None
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        load_csv(path)
 
 
 def test_ragged_row_rejected(tmp_path):

@@ -97,6 +97,26 @@ def test_dense_gradient_check():
     assert grad_check(f, [layer.weight, layer.bias, x]) < 1e-4
 
 
+@pytest.mark.parametrize("shape", [(32, 7, 96), (256, 7, 96), (32, 1, 96), (96,)])
+@pytest.mark.parametrize("strided", [False, True])
+def test_flat_products_match_the_stacked_matmul(shape, strided):
+    # The layer runs one (rows, in_dim) product; numpy's stacked matmul over
+    # the leading axes sums in another order, so only rounding may differ.
+    rng = np.random.default_rng(11)
+    layer = make_layer(96, 96, seed=11)
+    x = rng.normal(size=shape)
+    up = rng.normal(size=shape)
+    if strided:  # the layout of a batch gathered from window views
+        x = np.asfortranarray(x)
+        up = np.asfortranarray(up)
+    y = dense_forward(layer, x)
+    assert y.shape == shape
+    np.testing.assert_allclose(y, np.matmul(x, layer.weight) + layer.bias, rtol=0, atol=1e-12)
+    dx = dense_backward(layer, up, x)
+    assert dx.shape == shape
+    np.testing.assert_allclose(dx, np.matmul(up, layer.weight.T), rtol=0, atol=1e-12)
+
+
 # --- activations ---------------------------------------------------------------
 
 def test_activation_point_values():
