@@ -89,6 +89,8 @@ def fecam_forward(x, block: Excitation, cache: dict | None = None) -> tuple[np.n
     applied to the spectrum, (x D^T) W1, is computed as x (D^T W1): one
     matmul over all (batch, channel) rows. The folded weight is rebuilt on
     every call because optimizers and the gradient checker edit W1 in place.
+    The ReLU and the sigmoid overwrite the fresh pre-activations they are
+    given, so the attention map is the second matmul's own output array.
 
     Attention entries are sigmoid outputs, so the rescale never amplifies:
     |out| <= |x| elementwise. Pass a dict as `cache` to retain the
@@ -101,20 +103,24 @@ def fecam_forward(x, block: Excitation, cache: dict | None = None) -> tuple[np.n
     h1 = relu_forward(z1, out=z1)
     z2 = h1 @ block.excite2.weight
     z2 += block.excite2.bias
-    att = sigmoid_forward(z2).reshape(x.shape)
-    del z2  # so `out` is not allocated while the pre-activation is held
+    att = sigmoid_forward(z2, out=z2).reshape(x.shape)
     out = x * att
     if cache is not None:
         cache.update(x=x, folded=folded, h1=h1, att=att)
     return out, att
 
 
-def fecam_backward(upstream, block: Excitation, cache: dict) -> np.ndarray:
+def fecam_backward(upstream, block: Excitation, cache: dict, *,
+                   input_grad: bool = True) -> np.ndarray | None:
     """Gradient of fecam_forward's output wrt its input and parameters.
 
     Parameter gradients accumulate into the block's buffers. With the rows of
     x flattened to (B*C, L), the first weight's gradient is D (x^T dz1) and
-    the input gradient flows back through the folded weight D^T W1.
+    the input gradient flows back through the folded weight D^T W1. Training
+    reads only the parameter gradients, so it passes input_grad=False: the
+    same gradients accumulate, the input gradient's matmul and product are
+    skipped, and None is returned. The sigmoid and ReLU backward passes
+    overwrite the fresh arrays they are given rather than allocate their own.
     """
     if not cache:
         raise ValueError("fecam_backward needs the cache filled by fecam_forward")
@@ -124,11 +130,15 @@ def fecam_backward(upstream, block: Excitation, cache: dict) -> np.ndarray:
         raise ValueError(f"upstream shape {upstream.shape} != input shape {x.shape}")
     rows = x.reshape(-1, block.size)
     h1 = cache["h1"]
-    d_z2 = sigmoid_backward((upstream * x).reshape(rows.shape), att.reshape(rows.shape))
-    d_z1 = relu_backward(dense_backward(block.excite2, d_z2, h1), h1)
-    del d_z2  # likewise, before the input gradient is allocated
+    d_z2 = (upstream * x).reshape(rows.shape)
+    sigmoid_backward(d_z2, att.reshape(rows.shape), out=d_z2)
+    d_z1 = dense_backward(block.excite2, d_z2, h1)
+    del d_z2  # so the input gradient is not allocated while it is held
+    relu_backward(d_z1, h1, out=d_z1)
     block.excite1.weight_grad += dct_matrix(block.size, ORTHO) @ (rows.T @ d_z1)
     block.excite1.bias_grad += d_z1.sum(axis=0)
+    if not input_grad:
+        return None
     d_x = (d_z1 @ cache["folded"].T).reshape(x.shape)
     d_x += upstream * att
     return d_x

@@ -42,6 +42,7 @@ from .data import (
     write_csv,
 )
 from .forecaster import (
+    INFERENCE_BATCH,
     DivergenceError,
     TrainConfig,
     ablation_compare,
@@ -273,8 +274,9 @@ def cmd_attention(args) -> tuple[int, dict]:
 
     # Summed batch by batch, so only one batch's map is held at a time.
     total = np.zeros(test_ds.inputs.shape[1:])
-    for start in range(0, test_ds.n_windows, 256):
-        total += fecam_forward(test_ds.inputs[start:start + 256], model.fecam)[1].sum(axis=0)
+    for start in range(0, test_ds.n_windows, INFERENCE_BATCH):
+        batch = test_ds.inputs[start:start + INFERENCE_BATCH]
+        total += fecam_forward(batch, model.fecam)[1].sum(axis=0)
     return 0, {"attention.csv": functools.partial(export_attention, total / test_ds.n_windows)}
 
 

@@ -189,11 +189,21 @@ def _read_clean(path: Path, date_column: str | int) -> RawSeries | None:
     return RawSeries(timestamps, observations, channel_names)
 
 
+def _csv_rows(fh, path: Path):
+    """csv.reader's rows; its errors, such as a cell past csv.field_size_limit(),
+    become ValueErrors that name the line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _read_validating(path: Path, date_column: str | int, fill_policy: str) -> RawSeries:
     """csv.reader and float() of each stripped cell, for any file; every
     error names the line of the first fault."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -298,24 +308,42 @@ class Standardizer:
     std: np.ndarray
 
     def transform(self, observations: np.ndarray) -> np.ndarray:
+        """Standardize; a finite cell too large to standardize is a ValueError."""
         observations = np.asarray(observations, dtype=np.float64)
         if observations.shape[-1] != self.mean.shape[0]:
             raise ValueError(
                 f"{observations.shape[-1]} channels, standardizer has {self.mean.shape[0]}")
-        return (observations - self.mean) / self.std
+        with np.errstate(over="ignore"):
+            z = (observations - self.mean) / self.std
+        _check_channels_finite(z, "standardized value")
+        return z
 
     def apply(self, series: RawSeries) -> RawSeries:
         return RawSeries(series.timestamps, self.transform(series.observations),
                          list(series.channel_names))
 
 
+def _check_channels_finite(values: np.ndarray, what: str) -> None:
+    """Raise naming the first channel of a (..., C) array that overflowed float64."""
+    bad = np.flatnonzero(~np.isfinite(values.reshape(-1, values.shape[-1])).all(axis=0))
+    if bad.size:
+        raise ValueError(f"channel {int(bad[0])}: {what} overflows float64; "
+                         "its values are too large, rescale them")
+
+
 def fit_standardizer(train) -> Standardizer:
-    """Fit per-channel mean/std; degenerate (constant) channels are an error."""
+    """Fit per-channel mean/std; degenerate (constant) channels are an error.
+
+    Finite cells can still overflow the sums (1e308 squared), so a channel
+    whose mean or std is not finite is an error too.
+    """
     observations = train.observations if isinstance(train, RawSeries) else np.asarray(train)
     if observations.ndim != 2 or observations.shape[0] == 0:
         raise ValueError("need a nonempty T x C matrix to fit")
-    mean = observations.mean(axis=0)
-    std = observations.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = observations.mean(axis=0)
+        std = observations.std(axis=0)
+    _check_channels_finite(np.stack([mean, std]), "mean or std")
     flat = np.flatnonzero(std <= 1e-12)
     if flat.size:
         raise ValueError(f"channel {int(flat[0])} has (near-)zero variance, cannot standardize")

@@ -31,6 +31,18 @@ from .nncore import (
 )
 
 
+# Windows per inference batch, for evaluate and `fecam attention`. Range of
+# the medians of three interleaved runs at C=7, L=O=96 (2 vCPUs, one OpenBLAS
+# thread):
+#   batch                          32      64      128      256
+#   evaluate, 536 windows (ms)   8.3-10  7.7-10  10-12    15-17
+#   attention, 2,976 windows     23-28   22-26   22-28    50-56
+#   page faults per evaluate     0       0       546      2,404
+# A (256, 7, 96) float64 temporary is 1.3 MiB; glibc maps and unmaps arrays
+# that large per batch, so every batch faults its pages in afresh.
+INFERENCE_BATCH = 64
+
+
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
 
@@ -151,14 +163,19 @@ def model_forward(model: ForecastModel, x, cache: dict | None = None) -> np.ndar
     return y
 
 
-def model_backward(model: ForecastModel, upstream, cache: dict) -> np.ndarray:
-    """Accumulate parameter grads from a forward cache; returns dL/dx."""
+def model_backward(model: ForecastModel, upstream, cache: dict, *,
+                   input_grad: bool = True) -> np.ndarray | None:
+    """Accumulate parameter grads from a forward cache; returns dL/dx.
+
+    With input_grad=False the same parameter grads accumulate, dL/dx is not
+    formed, and None is returned.
+    """
     if not cache:
         raise ValueError("model_backward needs the cache filled by model_forward")
+    if model.fecam is None:
+        return dense_backward(model.projection, upstream, cache["proj_in"], input_grad=input_grad)
     d_feat = dense_backward(model.projection, upstream, cache["proj_in"])
-    if model.fecam is not None:
-        return fecam_backward(d_feat, model.fecam, cache["fecam"])
-    return d_feat
+    return fecam_backward(d_feat, model.fecam, cache["fecam"], input_grad=input_grad)
 
 
 def _check_dataset(ds: WindowedDataset, model: ForecastModel, name: str) -> None:
@@ -208,7 +225,7 @@ def train(model: ForecastModel, train_ds: WindowedDataset, val_ds: WindowedDatas
                         raise DivergenceError(
                             f"non-finite loss at epoch {epoch}, batch starting at {start}; "
                             f"try a lower learning rate (current {state.learning_rate:g})")
-                    model_backward(model, d_loss, cache)
+                    model_backward(model, d_loss, cache, input_grad=False)
                     adam_step([model.values], [model.grads], state)
                     sq_sum += loss * pred.size
                     count += pred.size
@@ -232,9 +249,11 @@ def train(model: ForecastModel, train_ds: WindowedDataset, val_ds: WindowedDatas
     return model, history
 
 
-def evaluate(model: ForecastModel, ds: WindowedDataset, batch_size: int = 256) -> EvalReport:
+def evaluate(model: ForecastModel, ds: WindowedDataset, batch_size: int = INFERENCE_BATCH) -> EvalReport:
     """MSE/MAE over every (window, channel, step) element of the dataset.
 
+    Runs the model over INFERENCE_BATCH windows at a time, whose temporaries
+    stay small enough to be reused rather than mapped afresh per batch.
     Accumulates plain sums, so the result does not depend on batch_size
     beyond rounding.
     """

@@ -76,10 +76,12 @@ def dense_forward(layer: DenseLayer, x) -> np.ndarray:
     return y.reshape(*x.shape[:-1], layer.out_dim)
 
 
-def dense_backward(layer: DenseLayer, upstream, x) -> np.ndarray:
+def dense_backward(layer: DenseLayer, upstream, x, *, input_grad: bool = True) -> np.ndarray | None:
     """Accumulate parameter grads and return the gradient wrt x.
 
     `x` must be the exact forward input; the layer keeps no activation cache.
+    With input_grad=False the same parameter grads accumulate and the input
+    gradient's matmul is skipped; the return value is None.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -91,6 +93,8 @@ def dense_backward(layer: DenseLayer, upstream, x) -> np.ndarray:
     flat_up = upstream.reshape(-1, layer.out_dim)
     layer.weight_grad += flat_x.T @ flat_up
     layer.bias_grad += flat_up.sum(axis=0)
+    if not input_grad:
+        return None
     return (flat_up @ layer.weight.T).reshape(*x.shape[:-1], layer.in_dim)
 
 
@@ -103,31 +107,32 @@ def relu_forward(x, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0, out=out)
 
 
-def relu_backward(upstream, x) -> np.ndarray:
+def relu_backward(upstream, x, out: np.ndarray | None = None) -> np.ndarray:
+    """upstream where x > 0, else 0; pass `out=upstream` to mask it in place."""
     # relu'(0) = 0: the strict inequality makes the choice explicit.
-    return np.asarray(upstream, dtype=np.float64) * (np.asarray(x) > 0.0)
+    return np.multiply(np.asarray(upstream, dtype=np.float64), np.asarray(x) > 0.0, out=out)
 
 
-def sigmoid_forward(x) -> np.ndarray:
+def sigmoid_forward(x, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function without branches or masks.
 
     exp(-x) overflows to inf for x below about -709, and 1 / (1 + inf) is the
     correct limit 0, so that overflow is expected and silenced. Above it the
     result stays strictly positive, unlike 0.5 * (1 + tanh(x / 2)). Every
-    step runs in one fresh array; x is left unchanged.
+    step runs in one array: a fresh one, or `out`, which may be x itself.
     """
     x = np.asarray(x, dtype=np.float64)
-    y = np.negative(x, out=np.empty_like(x))
+    y = np.negative(x, out=np.empty_like(x) if out is None else out)
     with np.errstate(over="ignore"):
         np.exp(y, out=y)
     y += 1.0
     return np.divide(1.0, y, out=y)
 
 
-def sigmoid_backward(upstream, y) -> np.ndarray:
-    """Backward through sigmoid given its forward *output* y."""
+def sigmoid_backward(upstream, y, out: np.ndarray | None = None) -> np.ndarray:
+    """Backward through sigmoid given its forward *output* y; `out` may be upstream."""
     y = np.asarray(y, dtype=np.float64)
-    grad = np.asarray(upstream, dtype=np.float64) * y
+    grad = np.multiply(np.asarray(upstream, dtype=np.float64), y, out=out)
     grad *= 1.0 - y
     return grad
 

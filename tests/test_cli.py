@@ -5,6 +5,7 @@ asserted directly; one test goes through the installed console script to
 check the packaging wiring.
 """
 
+import csv
 import hashlib
 import json
 import shutil
@@ -101,6 +102,35 @@ def test_train_bad_cells_exit_2_without_traceback(tmp_path, capsys, rows):
     err = capsys.readouterr().err
     assert "line 3" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "attention"])
+def test_cell_past_the_csv_field_limit_exits_2(data_csv, tmp_path, capsys, command):
+    lines = data_csv.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[1] = "0" * csv.field_size_limit() + "1"
+    lines[1] = ",".join(cells)
+    path = tmp_path / "long_cell.csv"
+    path.write_text("\n".join(lines) + "\n")
+    argv = [command, "--data", str(path)]
+    if command == "attention":
+        argv += ["--checkpoint", str(make_checkpoint(tmp_path))]
+    err = assert_input_error(argv, tmp_path / "x", capsys)
+    assert "line 2: field larger than field limit" in err
+
+
+def test_huge_finite_cell_is_an_input_error(data_csv, tmp_path, capsys):
+    # 1e308 is finite, but its square in the training slice's variance is
+    # not; pytest turns any RuntimeWarning into an error, so none may show.
+    lines = data_csv.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[2] = "1e308"
+    lines[5] = ",".join(cells)
+    path = tmp_path / "huge_cell.csv"
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["train", "--data", str(path), "--lookback", "32", "--horizon", "16", "--epochs", "1"]
+    err = assert_input_error(argv, tmp_path / "x", capsys)
+    assert "channel 1: mean or std overflows" in err
 
 
 def test_train_bad_config_exits_2(data_csv, tmp_path, capsys):
@@ -521,7 +551,7 @@ def test_attention_rejects_too_short_data(tmp_path):
 
 def test_streamed_attention_mean_matches_concatenated_mean(tmp_path, monkeypatch):
     # 1,400 rows split 1:1:2 leave 700 test rows: 653 windows of 32 + 16, so
-    # batches of 256, 256 and 141.
+    # ten batches of 64 and one of 13.
     series = synth_series("sinusoid_mix", 1400, 3, noise_std=0.1, seed=8)
     path = tmp_path / "long.csv"
     path.write_text("time," + ",".join(series.channel_names) + "\n" + "".join(
@@ -544,17 +574,20 @@ def test_streamed_attention_mean_matches_concatenated_mean(tmp_path, monkeypatch
     out = tmp_path / "att"
     assert cli.main(["attention", "--checkpoint", str(ckpt), "--data", str(path),
                      "--split", "1:1:2", "--out", str(out)]) == 0
-    assert batches == [256, 256, 141]
+    assert forecaster.INFERENCE_BATCH == 64 and batches == [64] * 10 + [13]
 
     # The reference is the concatenate-then-mean over the same batches.
     model, _ = forecaster.load_model(ckpt)
     loaded = load_csv(path)
     splits = chronological_split(loaded, (1, 1, 2), min_slice_len=48)
     test_ds = make_windows(fit_standardizer(splits[0]).apply(splits[2]), 32, 16)
-    maps = [forward(test_ds.inputs[start:start + 256], model.fecam)[1]
-            for start in range(0, test_ds.n_windows, 256)]
+    maps = [forward(test_ds.inputs[start:start + 64], model.fecam)[1]
+            for start in range(0, test_ds.n_windows, 64)]
     reference = np.concatenate(maps, axis=0).mean(axis=0).T
     assert float(np.max(np.abs(written[0] - reference))) <= 1e-12
+    # Chunking changes only rounding: the mean over one whole batch agrees too.
+    whole = forward(test_ds.inputs, model.fecam)[1].mean(axis=0).T
+    assert float(np.max(np.abs(written[0] - whole))) <= 1e-12
     rows = np.loadtxt(out / "attention.csv", delimiter=",", skiprows=1)
     np.testing.assert_allclose(rows, reference, rtol=1e-8)
 

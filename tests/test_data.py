@@ -347,11 +347,12 @@ def test_fast_read_takes_only_clean_files_and_agrees_with_the_validating_reader(
 
 
 def test_fast_read_declines_lines_past_the_csv_field_limit(tmp_path):
-    # csv.reader refuses such a cell, so load_csv raises as it always has; the
-    # cell reads as 1.0, so nothing but the length declines it.
+    # csv.reader refuses such a cell, and load_csv reports that as an input
+    # error naming the line; the cell reads as 1.0, so nothing but the length
+    # declines it.
     path = write(tmp_path, "time,a\n0," + "0" * csv.field_size_limit() + "1\n")
     assert _read_clean(path, 0) is None
-    with pytest.raises(csv.Error, match="field larger than field limit"):
+    with pytest.raises(ValueError, match="line 2: field larger than field limit"):
         load_csv(path)
 
 
@@ -485,6 +486,27 @@ def test_degenerate_channel_named():
     obs[:, 2] = np.arange(10) * 2
     with pytest.raises(ValueError, match="channel 1"):
         fit_standardizer(obs)
+
+
+def test_channel_whose_statistics_overflow_is_named():
+    # Every cell is finite, but 1e308 squared is not: the std overflows.
+    obs = np.ones((10, 3))
+    obs[:, 0] = np.arange(10)
+    obs[:, 2] = np.arange(10) * 2
+    obs[4, 1] = 1e308
+    with pytest.raises(ValueError, match="channel 1: mean or std overflows"):
+        fit_standardizer(obs)
+    obs[:, 1] = 1.7e308
+    obs[0, 1] = -1.7e308
+    with pytest.raises(ValueError, match="channel 1: mean or std overflows"):
+        fit_standardizer(obs)
+
+
+def test_transform_rejects_values_that_overflow_when_standardized():
+    scaler = Standardizer(np.zeros(2), np.array([1.0, 0.5]))
+    np.testing.assert_array_equal(scaler.transform([[1e308, 1.0]]), [[1e308, 2.0]])
+    with pytest.raises(ValueError, match="channel 1: standardized value overflows"):
+        scaler.transform([[1.0, 1e308]])
 
 
 def test_transform_channel_count_checked():

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fecam import forecaster
 from fecam.attention import Excitation, fecam_backward, fecam_forward
 from fecam.data import (
     WindowedDataset,
@@ -209,12 +210,14 @@ def test_step_curve_shape_and_mean():
 
 
 def test_metrics_invariant_to_batch_partitioning():
-    _, _, test_ds = tiny_pipeline()
+    _, _, test_ds = tiny_pipeline(length=2000)
+    assert test_ds.n_windows > 5 * forecaster.INFERENCE_BATCH
     model = build_model(TrainConfig(lookback=16, horizon=8, seed=2))
     full = evaluate(model, test_ds, batch_size=10_000)
-    chunked = evaluate(model, test_ds, batch_size=7)
-    assert full.mse == pytest.approx(chunked.mse, rel=1e-12)
-    assert full.mae == pytest.approx(chunked.mae, rel=1e-12)
+    for chunked in (evaluate(model, test_ds), evaluate(model, test_ds, batch_size=7)):
+        assert full.mse == pytest.approx(chunked.mse, rel=1e-12)
+        assert full.mae == pytest.approx(chunked.mae, rel=1e-12)
+        np.testing.assert_allclose(chunked.step_mse, full.step_mse, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("with_fecam", [True, False], ids=["fecam", "plain"])
@@ -263,6 +266,39 @@ def test_backward_on_window_views_equals_contiguous_copies(with_fecam):
         assert not x.flags.c_contiguous
         for got, want in zip(step(x, y), step(np.ascontiguousarray(x), y), strict=True):
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("with_fecam", [True, False], ids=["fecam", "plain"])
+def test_skipping_the_input_gradient_accumulates_the_same_grads(with_fecam):
+    train_ds, _, test_ds = tiny_pipeline(lookback=16, horizon=8, channels=3)
+    model = build_model(TrainConfig(lookback=16, horizon=8, seed=5), with_fecam=with_fecam)
+    idx = np.random.default_rng(3).permutation(train_ds.n_windows)[:32]
+    view = (test_ds.inputs[5:37], test_ds.targets[5:37])
+    for x, y in (view, (np.ascontiguousarray(view[0]), view[1]),
+                 (train_ds.inputs[idx], train_ds.targets[idx])):
+        grads = []
+        for input_grad in (True, False):
+            model.zero_grad()
+            cache = {}
+            _, d_loss = mse_loss(model_forward(model, x, cache), y)
+            d_x = model_backward(model, d_loss, cache, input_grad=input_grad)
+            assert (d_x is None) != input_grad
+            grads.append(model.grads.tobytes())
+        assert grads[0] == grads[1]
+
+
+def test_train_does_not_ask_for_the_input_gradient(monkeypatch):
+    train_ds, val_ds, _ = tiny_pipeline()
+    asked = []
+
+    def spy(*args, **kwargs):
+        asked.append(kwargs.get("input_grad", True))
+        return model_backward(*args, **kwargs)
+
+    monkeypatch.setattr(forecaster, "model_backward", spy)
+    train(build_model(TrainConfig(lookback=16, horizon=8)), train_ds, val_ds,
+          TrainConfig(lookback=16, horizon=8, epochs=1))
+    assert asked and not any(asked)
 
 
 @pytest.mark.parametrize("with_fecam", [True, False], ids=["fecam", "plain"])

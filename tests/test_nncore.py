@@ -169,6 +169,20 @@ def test_activation_gradient_checks():
     assert grad_check(f_sig, [x]) < 1e-4
 
 
+def test_activations_written_in_place_give_the_same_bits():
+    rng = np.random.default_rng(29)
+    x = np.concatenate([rng.normal(size=200) * 30.0, [-1e308, -0.0, 0.0, 1e308]])
+    upstream = rng.normal(size=x.shape)
+    y = sigmoid_forward(x)
+    for fn, args in ((sigmoid_forward, (x,)), (sigmoid_backward, (upstream, y)),
+                     (relu_backward, (upstream, x))):
+        want = fn(*args)
+        fresh = np.empty_like(want)
+        assert fn(*args, out=fresh) is fresh and fresh.tobytes() == want.tobytes()
+        first = args[0].copy()
+        assert fn(first, *args[1:], out=first) is first and first.tobytes() == want.tobytes()
+
+
 # --- loss -------------------------------------------------------------------------
 
 def test_sigmoid_and_mse_leave_their_inputs_unchanged():
