@@ -66,21 +66,6 @@ class Excitation:
         self.excite1 = DenseLayer(size, hidden, rng)
         self.excite2 = DenseLayer(hidden, size, rng)
 
-    def parameters(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return self.excite1.parameters() + self.excite2.parameters()
-
-    def zero_grad(self) -> None:
-        self.excite1.zero_grad()
-        self.excite2.zero_grad()
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "excite1.weight": self.excite1.weight,
-            "excite1.bias": self.excite1.bias,
-            "excite2.weight": self.excite2.weight,
-            "excite2.bias": self.excite2.bias,
-        }
-
 
 def fecam_forward(x, block: Excitation, cache: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Apply frequency attention; returns (rescaled x, attention map).

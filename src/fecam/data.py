@@ -45,9 +45,17 @@ class RawSeries:
             raise ValueError(f"{len(self.timestamps)} timestamps for {t} rows")
         if len(self.channel_names) != c:
             raise ValueError(f"{len(self.channel_names)} names for {c} channels")
-        for a, b in zip(self.timestamps, self.timestamps[1:]):
-            if not a < b:
-                raise ValueError("timestamps must be strictly increasing")
+        # Only a failure of this cheap loop pays for _timestamp_fault's reason.
+        try:
+            for a, b in zip(self.timestamps, self.timestamps[1:]):
+                if not a < b:
+                    break
+            else:
+                return
+        except TypeError:
+            pass
+        index, reason = _timestamp_fault(self.timestamps)
+        raise ValueError(f"timestamp {index}: {reason}")
 
     @property
     def length(self) -> int:
@@ -331,19 +339,21 @@ def _check_channels_finite(values: np.ndarray, what: str) -> None:
                          "its values are too large, rescale them")
 
 
-def fit_standardizer(train) -> Standardizer:
-    """Fit per-channel mean/std; degenerate (constant) channels are an error.
-
-    Finite cells can still overflow the sums (1e308 squared), so a channel
-    whose mean or std is not finite is an error too.
-    """
-    observations = train.observations if isinstance(train, RawSeries) else np.asarray(train)
-    if observations.ndim != 2 or observations.shape[0] == 0:
-        raise ValueError("need a nonempty T x C matrix to fit")
+def _channel_stats(observations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel mean and std; finite cells can overflow them (1e308 squared), an error."""
     with np.errstate(over="ignore", invalid="ignore"):
         mean = observations.mean(axis=0)
         std = observations.std(axis=0)
     _check_channels_finite(np.stack([mean, std]), "mean or std")
+    return mean, std
+
+
+def fit_standardizer(train) -> Standardizer:
+    """Fit per-channel mean/std; degenerate (constant) or overflowing channels are an error."""
+    observations = train.observations if isinstance(train, RawSeries) else np.asarray(train)
+    if observations.ndim != 2 or observations.shape[0] == 0:
+        raise ValueError("need a nonempty T x C matrix to fit")
+    mean, std = _channel_stats(observations)
     flat = np.flatnonzero(std <= 1e-12)
     if flat.size:
         raise ValueError(f"channel {int(flat[0])} has (near-)zero variance, cannot standardize")
@@ -433,13 +443,18 @@ def synth_series(kind: str, length: int, channels: int,
 
 
 def series_summary(series: RawSeries, splits=None) -> dict:
-    """JSON-ready description: shape, per-channel stats, optional split sizes."""
+    """JSON-ready description: shape, per-channel stats, optional split sizes.
+
+    A huge cell outside the training slice overflows only these whole-series
+    stats, and is the same error as in fit_standardizer.
+    """
+    means, stds = _channel_stats(series.observations)
     summary = {
         "length": series.length,
         "channels": series.channels,
         "channel_names": list(series.channel_names),
-        "channel_means": [float(m) for m in series.observations.mean(axis=0)],
-        "channel_stds": [float(s) for s in series.observations.std(axis=0)],
+        "channel_means": [float(m) for m in means],
+        "channel_stds": [float(s) for s in stds],
     }
     if splits is not None:
         summary["split_sizes"] = {name: piece.length

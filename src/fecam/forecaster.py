@@ -42,6 +42,9 @@ from .nncore import (
 # that large per batch, so every batch faults its pages in afresh.
 INFERENCE_BATCH = 64
 
+# A dense layer's parameters, in packing and checkpoint order.
+_PARAMETER_NAMES = ("weight", "bias")
+
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
@@ -98,10 +101,13 @@ class ForecastModel:
     initialization is identical whether or not the attention layer exists —
     ablation arms start from the same projection weights.
 
+    `layers` is the one table of the model's dense layers: checkpoint prefix
+    to layer, in the order projection, then fecam.excite1 and fecam.excite2.
     Once drawn, every weight and bias moves into one flat `values` vector,
-    with a matching `grads` vector, in the order projection weight and bias,
-    then excite1's and excite2's; the layers' arrays become views into them.
-    The optimizer, zero_grad and best-epoch snapshots each handle one array.
+    with a matching `grads` vector, in that order, weight before bias; the
+    layers' arrays become views into them. The optimizer, zero_grad and
+    best-epoch snapshots each handle one array, and the checkpoint names
+    each array f"{prefix}.weight" or f"{prefix}.bias".
     """
 
     def __init__(self, lookback: int, horizon: int, reduction: int = 2,
@@ -112,14 +118,15 @@ class ForecastModel:
         self.projection = DenseLayer(lookback, horizon, np.random.default_rng([seed, 0]))
         self.fecam = (Excitation(lookback, reduction, np.random.default_rng([seed, 1]))
                       if with_fecam else None)
-        layers = [self.projection]
+        self.layers = {"projection": self.projection}
         if self.fecam is not None:
-            layers += [self.fecam.excite1, self.fecam.excite2]
-        self.values = np.concatenate([p.ravel() for layer in layers for p, _ in layer.parameters()])
+            self.layers.update({"fecam.excite1": self.fecam.excite1,
+                                "fecam.excite2": self.fecam.excite2})
+        self.values = np.concatenate([a.ravel() for a in self.state_arrays().values()])
         self.grads = np.zeros_like(self.values)
         offset = 0
-        for layer in layers:
-            for name in ("weight", "bias"):
+        for layer in self.layers.values():
+            for name in _PARAMETER_NAMES:
                 shape = getattr(layer, name).shape
                 stop = offset + math.prod(shape)
                 setattr(layer, name, self.values[offset:stop].reshape(shape))
@@ -134,11 +141,9 @@ class ForecastModel:
         self.grads.fill(0.0)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        arrays = {"projection.weight": self.projection.weight,
-                  "projection.bias": self.projection.bias}
-        if self.fecam is not None:
-            arrays.update({f"fecam.{k}": v for k, v in self.fecam.state_arrays().items()})
-        return arrays
+        """Checkpoint name -> parameter array, in the order of `values`."""
+        return {f"{prefix}.{name}": getattr(layer, name)
+                for prefix, layer in self.layers.items() for name in _PARAMETER_NAMES}
 
 
 def build_model(config: TrainConfig, with_fecam: bool = True) -> ForecastModel:

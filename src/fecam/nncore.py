@@ -33,7 +33,7 @@ class DenseLayer:
 
     Weights and bias start uniform in +-sqrt(1/in_dim) so that sigmoid outputs
     of a fresh network sit near 0.5. Gradients accumulate across backward
-    calls until zero_grad.
+    calls until the caller zeroes weight_grad and bias_grad.
     """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None):
@@ -54,14 +54,6 @@ class DenseLayer:
     @property
     def out_dim(self) -> int:
         return self.weight.shape[1]
-
-    def zero_grad(self) -> None:
-        self.weight_grad[:] = 0.0
-        self.bias_grad[:] = 0.0
-
-    def parameters(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(value, grad) pairs, in a stable order."""
-        return [(self.weight, self.weight_grad), (self.bias, self.bias_grad)]
 
 
 def dense_forward(layer: DenseLayer, x) -> np.ndarray:

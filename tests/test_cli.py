@@ -27,6 +27,8 @@ from fecam.data import (
 from fecam.forecaster import DivergenceError, ForecastModel, save_model
 from fecam.spectral import low_frequency_signal, truncated_reconstructions
 
+from param_pairs import param_pairs
+
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
@@ -119,13 +121,16 @@ def test_cell_past_the_csv_field_limit_exits_2(data_csv, tmp_path, capsys, comma
     assert "line 2: field larger than field limit" in err
 
 
-def test_huge_finite_cell_is_an_input_error(data_csv, tmp_path, capsys):
-    # 1e308 is finite, but its square in the training slice's variance is
-    # not; pytest turns any RuntimeWarning into an error, so none may show.
+@pytest.mark.parametrize("row", [4, 300, 390], ids=["train", "validation", "test"])
+def test_huge_finite_cell_is_an_input_error(data_csv, tmp_path, capsys, row):
+    # 1e308 is finite, but its square is not: in the training slice it
+    # overflows the standardizer's variance, and anywhere in the series the
+    # summary's. The slices are 256, 72 and 72 rows. pytest turns any
+    # RuntimeWarning into an error, so none may show.
     lines = data_csv.read_text().splitlines()
-    cells = lines[5].split(",")
+    cells = lines[row + 1].split(",")
     cells[2] = "1e308"
-    lines[5] = ",".join(cells)
+    lines[row + 1] = ",".join(cells)
     path = tmp_path / "huge_cell.csv"
     path.write_text("\n".join(lines) + "\n")
     argv = ["train", "--data", str(path), "--lookback", "32", "--horizon", "16", "--epochs", "1"]
@@ -478,7 +483,7 @@ def test_compaction_non_positive_length_exits_2(tmp_path, capsys, argv):
 def make_checkpoint(tmp_path, zero=False, with_fecam=True):
     model = ForecastModel(32, 16, with_fecam=with_fecam, seed=3)
     if zero and with_fecam:
-        for value, _ in model.fecam.parameters():
+        for value, _ in param_pairs(model.fecam.excite1, model.fecam.excite2):
             value[:] = 0.0
     path = tmp_path / "ckpt.json"
     save_model(path, model)

@@ -3,7 +3,7 @@
 import csv
 import sys
 import tracemalloc
-from datetime import datetime
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -42,6 +42,12 @@ def test_series_validates_shapes_and_order():
         RawSeries([0.0, 2.0, 1.0], np.zeros((3, 2)), ["a", "b"])
     with pytest.raises(ValueError):
         RawSeries([0.0, 1.0, 1.0], np.zeros((3, 2)), ["a", "b"])
+    # Kinds that cannot be compared are a ValueError too, with the readers' reason.
+    with pytest.raises(ValueError, match="timestamp 1: timestamp type differs"):
+        RawSeries([1.0, datetime(2020, 1, 1)], np.zeros((2, 1)), ["a"])
+    aware = datetime(2020, 1, 1, 1, tzinfo=timezone.utc)
+    with pytest.raises(ValueError, match="timestamp 1: timestamp mixes naive and offset-aware"):
+        RawSeries([datetime(2020, 1, 1), aware], np.zeros((2, 1)), ["a"])
 
 
 # --- load_csv ------------------------------------------------------------------

@@ -16,10 +16,12 @@ from fecam.forecaster import ForecastModel, load_model, save_model
 from fecam.nncore import dense_backward, dense_forward, grad_check, mse_loss, relu_backward, relu_forward
 from fecam.spectral import ORTHO, UNNORMALIZED, dct_forward, dct_matrix
 
+from param_pairs import param_pairs
+
 
 def zeroed(layer):
     """Freeze every excitation parameter at zero; attention becomes 0.5."""
-    for value, _ in layer.parameters():
+    for value, _ in param_pairs(layer.excite1, layer.excite2):
         value[:] = 0.0
     return layer
 
@@ -94,7 +96,7 @@ def test_zero_upstream_gives_zero_grads():
     fecam_forward(x, layer, cache)
     dx = fecam_backward(np.zeros_like(x), layer, cache)
     assert not dx.any()
-    assert not any(g.any() for _, g in layer.parameters())
+    assert not any(g.any() for _, g in param_pairs(layer.excite1, layer.excite2))
 
 
 def test_backward_requires_cache():
@@ -114,7 +116,8 @@ def test_batch_grads_are_summed_not_averaged():
     fecam_backward(up, layer, cache)
     single = layer.excite1.weight_grad.copy()
 
-    layer.zero_grad()
+    for _, g in param_pairs(layer.excite1, layer.excite2):
+        g.fill(0.0)
     doubled = np.concatenate([x, x], axis=0)
     cache = {}
     fecam_forward(doubled, layer, cache)
@@ -127,16 +130,18 @@ def test_full_layer_gradient_check():
     layer = Excitation(8, reduction=2, rng=rng)
     x = rng.normal(size=(2, 3, 8))
     target = rng.normal(size=(2, 3, 8))
+    pairs = param_pairs(layer.excite1, layer.excite2)
 
     def f():
-        layer.zero_grad()
+        for _, g in pairs:
+            g.fill(0.0)
         cache = {}
         out, _ = fecam_forward(x, layer, cache)
         loss, dl = mse_loss(out, target)
         dx = fecam_backward(dl, layer, cache)
-        return loss, [g for _, g in layer.parameters()] + [dx]
+        return loss, [g for _, g in pairs] + [dx]
 
-    params = [p for p, _ in layer.parameters()] + [x]
+    params = [p for p, _ in pairs] + [x]
     assert grad_check(f, params) < 1e-4
 
 
@@ -147,16 +152,18 @@ def test_gradient_check_across_seeds():
         layer = Excitation(length, reduction=2, rng=rng)
         x = rng.normal(size=(int(rng.integers(1, 4)), int(rng.integers(1, 5)), length))
         target = rng.normal(size=x.shape)
+        pairs = param_pairs(layer.excite1, layer.excite2)
 
         def f():
-            layer.zero_grad()
+            for _, g in pairs:
+                g.fill(0.0)
             cache = {}
             out, _ = fecam_forward(x, layer, cache)
             loss, dl = mse_loss(out, target)
             dx = fecam_backward(dl, layer, cache)
-            return loss, [g for _, g in layer.parameters()] + [dx]
+            return loss, [g for _, g in pairs] + [dx]
 
-        assert grad_check(f, [p for p, _ in layer.parameters()] + [x]) < 1e-4
+        assert grad_check(f, [p for p, _ in pairs] + [x]) < 1e-4
 
 
 # --- fused path pinned to the per-row reference ----------------------------------------
@@ -186,7 +193,9 @@ def reference_forward_backward(x, upstream, layer):
     att = two_branch_sigmoid(dense_forward(layer.excite2, h1))
     out = x * att
 
-    layer.zero_grad()
+    pairs = param_pairs(layer.excite1, layer.excite2)
+    for _, g in pairs:
+        g.fill(0.0)
     d_x = upstream * att
     d_z2 = upstream * x * att * (1.0 - att)
     d_h1 = dense_backward(layer.excite2, d_z2, h1)
@@ -194,24 +203,26 @@ def reference_forward_backward(x, upstream, layer):
     for b in range(x.shape[0]):
         for c in range(x.shape[1]):
             d_x[b, c] += dct.T @ d_freq[b, c]
-    return out, att, d_x, [g.copy() for _, g in layer.parameters()]
+    return out, att, d_x, [g.copy() for _, g in pairs]
 
 
 @pytest.mark.parametrize("shape", [(32, 7, 96), (4, 21, 336)])
 def test_fused_path_matches_per_row_reference(shape):
     rng = np.random.default_rng(59)
     layer = Excitation(shape[2], reduction=2, rng=rng)
-    for value, _ in layer.parameters():
+    pairs = param_pairs(layer.excite1, layer.excite2)
+    for value, _ in pairs:
         value += rng.normal(scale=0.3, size=value.shape)
     x = rng.normal(size=shape) * 2.0
     upstream = rng.normal(size=shape)
     ref_out, ref_att, ref_dx, ref_grads = reference_forward_backward(x, upstream, layer)
 
-    layer.zero_grad()
+    for _, g in pairs:
+        g.fill(0.0)
     cache = {}
     out, att = fecam_forward(x, layer, cache)
     dx = fecam_backward(upstream, layer, cache)
-    grads = [g for _, g in layer.parameters()]
+    grads = [g for _, g in pairs]
     for name, got, ref in zip(["out", "att", "dx", "w1", "b1", "w2", "b2"],
                               [out, att, dx, *grads], [ref_out, ref_att, ref_dx, *ref_grads]):
         bound = 1e-12 * max(1.0, np.max(np.abs(ref)))
@@ -273,12 +284,12 @@ def test_forward_and_backward_hold_few_batch_sized_arrays():
 def test_state_arrays_round_trip(tmp_path):
     rng = np.random.default_rng(43)
     src = ForecastModel(8, 4, seed=7)
-    for value, _ in src.fecam.parameters():
+    for value, _ in param_pairs(src.fecam.excite1, src.fecam.excite2):
         value += rng.normal(size=value.shape)
     save_model(tmp_path / "model.json", src)
     dst, _ = load_model(tmp_path / "model.json")
-    for name, value in src.fecam.state_arrays().items():
-        np.testing.assert_array_equal(dst.fecam.state_arrays()[name], value)
+    for name, value in src.state_arrays().items():
+        np.testing.assert_array_equal(dst.state_arrays()[name], value)
     x = rng.normal(size=(1, 2, 8))
     np.testing.assert_array_equal(fecam_forward(x, src.fecam)[0], fecam_forward(x, dst.fecam)[0])
 

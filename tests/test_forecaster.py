@@ -31,6 +31,8 @@ from fecam.forecaster import (
 )
 from fecam.nncore import AdamState, DenseLayer, adam_step, grad_check, mse_loss
 
+from param_pairs import param_pairs
+
 
 def tiny_pipeline(lookback=16, horizon=8, channels=2, length=400, noise=0.1, seed=0):
     series = synth_series("sinusoid_mix", length, channels, noise_std=noise, seed=seed)
@@ -65,7 +67,7 @@ def test_config_validation():
 
 def test_zeroed_attention_with_identity_projection_halves_input():
     model = identity_projection(ForecastModel(8, 8, with_fecam=True))
-    for value, _ in model.fecam.parameters():
+    for value, _ in param_pairs(model.fecam.excite1, model.fecam.excite2):
         value[:] = 0.0
     x = np.random.default_rng(0).normal(size=(2, 3, 8))
     np.testing.assert_array_equal(model_forward(model, x), x / 2)
@@ -309,14 +311,20 @@ def test_parameters_live_in_one_flat_vector(with_fecam):
     for name, array in model.state_arrays().items():
         assert np.shares_memory(array, values), name
     layers = [model.projection] + ([model.fecam.excite1, model.fecam.excite2] if with_fecam else [])
+    prefixes = ["projection"] + (["fecam.excite1", "fecam.excite2"] if with_fecam else [])
+    assert list(model.layers) == prefixes
+    assert all(a is b for a, b in zip(model.layers.values(), layers, strict=True))
+    # The checkpoint names follow the table's order, weight before bias.
+    assert list(model.state_arrays()) == [f"{p}.{n}" for p in prefixes for n in ("weight", "bias")]
     for layer in layers:
         assert np.shares_memory(layer.weight_grad, grads)
         assert np.shares_memory(layer.bias_grad, grads)
     # Packing happens after the draws, so the values are the unpacked layers'.
-    drawn = [DenseLayer(16, 8, np.random.default_rng([6, 0])).parameters()]
+    drawn = [DenseLayer(16, 8, np.random.default_rng([6, 0]))]
     if with_fecam:
-        drawn.append(Excitation(16, 2, np.random.default_rng([6, 1])).parameters())
-    expected = np.concatenate([p.ravel() for pairs in drawn for p, _ in pairs])
+        block = Excitation(16, 2, np.random.default_rng([6, 1]))
+        drawn += [block.excite1, block.excite2]
+    expected = np.concatenate([p.ravel() for p, _ in param_pairs(*drawn)])
     assert values.tobytes() == expected.tobytes()
     grads[:] = 1.0
     model.zero_grad()
@@ -392,7 +400,7 @@ def test_frozen_attention_equals_halved_projection():
     _, _, test_ds = tiny_pipeline()
     cfg = TrainConfig(lookback=16, horizon=8, seed=9)
     frozen = build_model(cfg, with_fecam=True)
-    for value, _ in frozen.fecam.parameters():
+    for value, _ in param_pairs(frozen.fecam.excite1, frozen.fecam.excite2):
         value[:] = 0.0
     halved = build_model(cfg, with_fecam=False)
     halved.projection.weight[:] = 0.5 * frozen.projection.weight

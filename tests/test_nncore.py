@@ -26,6 +26,8 @@ from fecam.nncore import (
     sigmoid_forward,
 )
 
+from param_pairs import param_pairs
+
 
 def make_layer(in_dim, out_dim, seed=0):
     return DenseLayer(in_dim, out_dim, np.random.default_rng(seed))
@@ -77,7 +79,8 @@ def test_dense_grads_accumulate_until_zeroed():
     once = layer.weight_grad.copy()
     dense_backward(layer, up, x)
     np.testing.assert_allclose(layer.weight_grad, 2 * once)
-    layer.zero_grad()
+    layer.weight_grad.fill(0.0)
+    layer.bias_grad.fill(0.0)
     assert not layer.weight_grad.any() and not layer.bias_grad.any()
 
 
@@ -88,7 +91,8 @@ def test_dense_gradient_check():
     target = rng.normal(size=(2, 3, 4))
 
     def f():
-        layer.zero_grad()
+        layer.weight_grad.fill(0.0)
+        layer.bias_grad.fill(0.0)
         y = dense_forward(layer, x)
         loss, dl = mse_loss(y, target)
         dx = dense_backward(layer, dl, x)
@@ -348,8 +352,8 @@ def test_composite_chain_grad_check_over_random_shapes():
         target = rng.normal(size=(b, c, length))
 
         def f():
-            lin1.zero_grad()
-            lin2.zero_grad()
+            for _, g in param_pairs(lin1, lin2):
+                g.fill(0.0)
             h = dense_forward(lin1, x)
             a = relu_forward(h)
             z = dense_forward(lin2, a)
@@ -359,10 +363,9 @@ def test_composite_chain_grad_check_over_random_shapes():
             da = dense_backward(lin2, dz, a)
             dh = relu_backward(da, h)
             dx = dense_backward(lin1, dh, x)
-            return loss, [lin1.weight_grad, lin1.bias_grad,
-                          lin2.weight_grad, lin2.bias_grad, dx]
+            return loss, [g for _, g in param_pairs(lin1, lin2)] + [dx]
 
-        params = [lin1.weight, lin1.bias, lin2.weight, lin2.bias, x]
+        params = [p for p, _ in param_pairs(lin1, lin2)] + [x]
         assert grad_check(f, params) < 1e-4
 
 
