@@ -125,7 +125,7 @@ def _select_channel(series: RawSeries, channel: str | None) -> RawSeries:
         raise ValueError(
             f"no channel named {channel!r}; file has {series.channel_names}")
     idx = series.channel_names.index(channel)
-    return RawSeries(series.timestamps, series.observations[:, idx:idx + 1], [channel])
+    return series._derive(series.observations[:, idx:idx + 1], [channel])
 
 
 def _prepared_windows(args, lookback: int, horizon: int):

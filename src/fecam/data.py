@@ -8,9 +8,12 @@ in memory; input files are never mutated.
 
 A clean CSV (no quote, no lone CR, no ragged, blank, NaN or infinite cell,
 timestamps of one kind and strictly increasing) is read in one np.loadtxt
-call. Every other file goes through csv.reader and one numpy conversion of
-the stripped cells with Python's float() rules; that reader alone reports
-errors, and finds and forward-fills missing cells with array operations.
+call for the values and one pass over the timestamp column. Every other
+file goes through csv.reader and one numpy conversion of the stripped cells
+with Python's float() rules; that reader alone reports errors, and finds and
+forward-fills missing cells with array operations. Timestamp order is
+checked once, when a series is made; series derived from it share its
+checked timestamps.
 Windows are read-only zero-copy views of the series, so windowing a T x C
 series costs O(T*C) memory, not O(N*C*(L+O)) for N windows.
 """
@@ -37,14 +40,7 @@ class RawSeries:
     channel_names: list[str]
 
     def __post_init__(self):
-        self.observations = np.asarray(self.observations, dtype=np.float64)
-        if self.observations.ndim != 2:
-            raise ValueError("observations must be a T x C matrix")
-        t, c = self.observations.shape
-        if len(self.timestamps) != t:
-            raise ValueError(f"{len(self.timestamps)} timestamps for {t} rows")
-        if len(self.channel_names) != c:
-            raise ValueError(f"{len(self.channel_names)} names for {c} channels")
+        self._check_shapes()
         # Only a failure of this cheap loop pays for _timestamp_fault's reason.
         try:
             for a, b in zip(self.timestamps, self.timestamps[1:]):
@@ -57,6 +53,28 @@ class RawSeries:
         index, reason = _timestamp_fault(self.timestamps)
         raise ValueError(f"timestamp {index}: {reason}")
 
+    def _check_shapes(self) -> None:
+        self.observations = np.asarray(self.observations, dtype=np.float64)
+        if self.observations.ndim != 2:
+            raise ValueError("observations must be a T x C matrix")
+        t, c = self.observations.shape
+        if len(self.timestamps) != t:
+            raise ValueError(f"{len(self.timestamps)} timestamps for {t} rows")
+        if len(self.channel_names) != c:
+            raise ValueError(f"{len(self.channel_names)} names for {c} channels")
+
+    def _derive(self, observations, channel_names: list[str],
+                rows: slice | None = None) -> RawSeries:
+        """A series on this one's timestamps, or on the contiguous run `rows` of
+        them. They were checked when this series was made and any such run of
+        them is still strictly increasing, so only the shapes are checked."""
+        derived = object.__new__(RawSeries)
+        derived.timestamps = self.timestamps if rows is None else self.timestamps[rows]
+        derived.observations = observations
+        derived.channel_names = channel_names
+        derived._check_shapes()
+        return derived
+
     @property
     def length(self) -> int:
         return self.observations.shape[0]
@@ -66,14 +84,18 @@ class RawSeries:
         return self.observations.shape[1]
 
 
+def _iso_only(text: str) -> bool:
+    """Whether stripped timestamp text can only be ISO: float() takes '-' only
+    as a leading sign or right after an exponent's 'e', and never ':', so no
+    text marked this way is a number."""
+    return ":" in text or ("-" in text[1:] and "e-" not in text and "E-" not in text)
+
+
 def _parse_timestamp(text: str, line_no: int):
     text = text.strip()
-    # float() takes '-' only as a leading sign or right after an exponent's
-    # 'e', and never ':', so text marked this way can only be ISO: skip the
-    # float attempt. Everything else tries float first, so text both parsers
-    # accept (20160701) stays a number.
-    iso_only = ":" in text or ("-" in text[1:] and "e-" not in text and "E-" not in text)
-    for parse in (datetime.fromisoformat,) if iso_only else (float, datetime.fromisoformat):
+    # ISO-only text skips the float attempt. Everything else tries float
+    # first, so text both parsers accept (20160701) stays a number.
+    for parse in (datetime.fromisoformat,) if _iso_only(text) else (float, datetime.fromisoformat):
         try:
             return parse(text)
         except ValueError:
@@ -129,6 +151,9 @@ def load_csv(path, date_column: str | int = 0, fill_policy: str = "reject") -> R
     or ISO-8601, but not a mix of naive and offset-aware ISO times. Missing
     cells (empty or NaN) are rejected by default; fill_policy="ffill" copies
     the previous row's value instead. Infinite cells are always rejected.
+
+    A clean file is parsed column by column (see _read_clean), any other row
+    by row, to the same series; the timestamps' order is checked once.
     """
     if fill_policy not in FILL_POLICIES:
         raise ValueError(f"fill_policy must be one of {FILL_POLICIES}, got {fill_policy!r}")
@@ -142,13 +167,16 @@ def load_csv(path, date_column: str | int = 0, fill_policy: str = "reject") -> R
 
 
 def _read_clean(path: Path, date_column: str | int) -> RawSeries | None:
-    """The series of a provably clean file, from one np.loadtxt call; else None.
+    """The series of a provably clean file, from one np.loadtxt call for the
+    values and one pass over the timestamp column; else None.
 
     A file is clean when it decodes, holds no quote character, ends its lines
     only in LF or CRLF, has no line longer than csv's field size limit, names
     its timestamp column, gives every non-empty line exactly the header's
     comma count, has only value cells that np.loadtxt parses to finite
-    floats, and has timestamps of one kind in strictly increasing order. On
+    floats, has a timestamp column that one float() pass or one ISO pass
+    under _iso_only's rule parses (see _parse_stamp_column), and has
+    timestamps in strictly increasing order, which RawSeries checks once. On
     such a file csv.reader splits the cells exactly as str.split(",") does,
     and every cell np.loadtxt accepts reads to the same bits under
     _read_validating's rule, float() of the stripped cell (np.loadtxt rejects
@@ -169,6 +197,7 @@ def _read_clean(path: Path, date_column: str | int) -> RawSeries | None:
         return None
     # Not str.splitlines(): it also breaks at characters csv.reader keeps in a cell.
     header, *lines = text.split("\n")
+    del text  # only the lines are used from here; holding both would raise peak memory
     lines = [line for line in lines if line]
     if not lines or max(len(header), *map(len, lines)) > csv.field_size_limit():
         return None
@@ -187,14 +216,43 @@ def _read_clean(path: Path, date_column: str | int) -> RawSeries | None:
         # comments=None: the default "#" would cut a cell short.
         observations = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
                                   usecols=[i for i in range(len(header)) if i != ts_index])
-        # The line number only feeds an error message, which a decline drops.
-        timestamps = [_parse_timestamp(line.split(",", ts_index + 1)[ts_index], 0)
-                      for line in lines]
     except ValueError:
         return None
-    if not np.isfinite(observations).all() or _timestamp_fault(timestamps) is not None:
+    if not np.isfinite(observations).all():
         return None
-    return RawSeries(timestamps, observations, channel_names)
+    timestamps = _parse_stamp_column(lines, ts_index)
+    if timestamps is None:
+        return None
+    try:
+        return RawSeries(timestamps, observations, channel_names)
+    except ValueError:  # timestamps not strictly increasing, or naive and aware mixed
+        return None
+
+
+def _parse_stamp_column(lines: list[str], ts_index: int) -> list | None:
+    """_parse_timestamp of every line's stamp cell when one float() pass or
+    one fromisoformat pass takes the whole column; else None.
+
+    A column that float() takes whole is what _parse_timestamp gives, since
+    no text float() takes is ISO-only. Otherwise every stripped cell must be
+    ISO-only, so that _parse_timestamp would not have tried float() on it
+    (20160701 in an ISO column is a number there, and declined here). The
+    cells are cut from the lines as each pass consumes them, never held as
+    a list, so the read's peak memory does not grow by a column of strings.
+    """
+    def cells():
+        return (line.split(",", ts_index + 1)[ts_index] for line in lines)
+
+    try:
+        return list(map(float, cells()))
+    except ValueError:
+        pass
+    try:
+        stamps = list(map(datetime.fromisoformat, filter(_iso_only, map(str.strip, cells()))))
+    except ValueError:
+        return None
+    # A cell that is not ISO-only was filtered out and shortens the list.
+    return stamps if len(stamps) == len(lines) else None
 
 
 def _csv_rows(fh, path: Path):
@@ -302,9 +360,8 @@ def chronological_split(series: RawSeries, ratios, min_slice_len: int = 1):
         if hi - lo < min_slice_len:
             raise ValueError(
                 f"{name} slice has {hi - lo} rows, fewer than the required {min_slice_len}")
-        pieces.append(RawSeries(series.timestamps[lo:hi],
-                                series.observations[lo:hi].copy(),
-                                list(series.channel_names)))
+        pieces.append(series._derive(series.observations[lo:hi].copy(),
+                                     list(series.channel_names), slice(lo, hi)))
     return tuple(pieces)
 
 
@@ -327,8 +384,7 @@ class Standardizer:
         return z
 
     def apply(self, series: RawSeries) -> RawSeries:
-        return RawSeries(series.timestamps, self.transform(series.observations),
-                         list(series.channel_names))
+        return series._derive(self.transform(series.observations), list(series.channel_names))
 
 
 def _check_channels_finite(values: np.ndarray, what: str) -> None:

@@ -96,7 +96,9 @@ class JumpProbe:
 # Cosine transform
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
+# A model uses one length; a few more serve `theorems`' forward/inverse
+# pairs. Eight L=720 matrices are 32 MiB.
+@lru_cache(maxsize=8)
 def dct_matrix(length: int, normalization: str = ORTHO) -> np.ndarray:
     """Forward transform matrix; row l holds the l-th cosine basis vector."""
     _check_normalization(normalization)

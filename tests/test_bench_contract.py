@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fecam import cli
+from fecam import cli, data
 
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
@@ -44,3 +44,19 @@ def test_gated_workload_runs_and_checks_at_smoke_sizes(workloads, tmp_path, monk
     for _ in range(3):
         assert math.isfinite(workload.step(rng))
     assert workload.final_checks() == []
+
+
+
+@pytest.mark.parametrize("name", ["train_c7_l96", "attention_etth2"])
+def test_gated_workload_csv_takes_the_fast_read(workloads, tmp_path, name):
+    # train_c7_l96 writes a numeric row index and attention_etth2 hourly ISO
+    # stamps, both through workloads.write_csv. Sending either file to the
+    # validating reader would slow the benchmark while every other test passes.
+    cls = workloads.WORKLOADS[name]
+    workload = cls(workloads.SMOKE[cls], tmp_path, 0)
+    workload.setup()
+    series = data._read_clean(workload.csv, 0)
+    assert series is not None
+    expected = data._read_validating(workload.csv, 0, "reject")
+    assert series.timestamps == expected.timestamps
+    assert series.observations.tobytes() == expected.observations.tobytes()

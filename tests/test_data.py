@@ -3,7 +3,7 @@
 import csv
 import sys
 import tracemalloc
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -360,6 +360,78 @@ def test_fast_read_declines_lines_past_the_csv_field_limit(tmp_path):
     assert _read_clean(path, 0) is None
     with pytest.raises(ValueError, match="line 2: field larger than field limit"):
         load_csv(path)
+
+
+def number_stamp(rng, value):
+    """One of several spellings of a numeric stamp that float() reads as `value`."""
+    spellings = [repr(value), f" {value!r}\t", f"{value:+}", f"{value:.17e}", f"{value:.17E}"]
+    if value == int(value):
+        spellings += [f"{int(value):_}", f"{int(value)}_0e-1"]
+    return spellings[rng.integers(len(spellings))]
+
+
+def iso_stamp(rng, when):
+    """One of several ISO-8601 spellings of the datetime `when`, basic ones included."""
+    spellings = [when.isoformat(sep=" "), when.isoformat(), f" {when.isoformat()} ",
+                 when.isoformat(sep=" ", timespec="milliseconds"),
+                 when.isoformat(timespec="microseconds")]
+    if when.tzinfo is timezone.utc:
+        spellings.append(when.replace(tzinfo=None).isoformat() + "Z")
+    if when.time() == datetime.min.time() and when.tzinfo is None:
+        spellings += [when.date().isoformat(), when.strftime("%Y%m%d")]
+    if when.minute == when.second == when.microsecond == 0 and when.tzinfo is None:
+        spellings.append(when.strftime("%Y%m%dT%H"))
+    return spellings[rng.integers(len(spellings))]
+
+
+# Stamp columns by kind: plain numbers and plain "YYYY-MM-DD HH:MM:SS" times,
+# which the fast read must take; numbers and ISO times in every spelling
+# above, with stray nan/inf or 20160701 cells; naive daily ISO times, where
+# the basic-format spellings are common; and mixes of numbers and ISO times.
+STAMP_KINDS = ("numbers", "plain-iso", "any-number", "any-iso", "daily-iso", "mixed")
+
+
+def stamp_column(rng, rows, kind):
+    step = [1.0, 0.5, 1e-5, 3600.0][rng.integers(4)]
+    numbers = float(rng.integers(-50, 50)) + step * np.arange(rows)
+    offset = [None, timezone.utc, timezone(timedelta(hours=5, minutes=30))][rng.integers(3)]
+    unit = [timedelta(hours=1), timedelta(days=1), timedelta(seconds=1.5)][rng.integers(3)]
+    if kind == "daily-iso":
+        offset, unit = None, timedelta(days=1)
+    start = datetime(2016, 6, 30, tzinfo=offset)
+    times = [start + i * unit for i in range(rows)]
+    if kind == "numbers":
+        return [repr(float(v)) for v in numbers]
+    if kind == "plain-iso":
+        return [t.replace(tzinfo=None).isoformat(sep=" ", timespec="seconds") for t in times]
+    column = [number_stamp(rng, float(v))
+              if kind == "any-number" or (kind == "mixed" and rng.random() < 0.5)
+              else iso_stamp(rng, t) for v, t in zip(numbers, times)]
+    if kind != "daily-iso" and rng.random() < 0.5:
+        column[rng.integers(rows)] = ["nan", " inf", "-inf", "20160701"][rng.integers(4)]
+    return column
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_bulk_stamp_parse_matches_the_per_row_parse(tmp_path, seed):
+    # The fast read parses the stamp column in one float() pass or one
+    # fromisoformat pass; it must give exactly the per-row parse's stamps
+    # (value and type), or decline the file.
+    rng = np.random.default_rng([seed, 14])
+    kind = STAMP_KINDS[seed % len(STAMP_KINDS)]
+    rows = int(rng.integers(2, 40))
+    column = stamp_column(rng, rows, kind)
+    path = write(tmp_path, "date,a\n" + "".join(f"{c},{i}\n" for i, c in enumerate(column)))
+    fast = _read_clean(path, 0)
+    if kind in ("numbers", "plain-iso"):
+        assert fast is not None
+    try:
+        expected = _read_validating(path, 0, "reject").timestamps
+    except ValueError:
+        assert fast is None
+        return
+    if fast is not None:
+        assert [(type(t), t) for t in fast.timestamps] == [(type(t), t) for t in expected]
 
 
 def test_ragged_row_rejected(tmp_path):
