@@ -18,6 +18,7 @@ environment variable, when set, takes precedence over --out.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -155,10 +156,7 @@ def _metrics_payload(args, config: TrainConfig, report, history) -> dict:
 
 
 def cmd_train(args) -> tuple[int, dict]:
-    config = TrainConfig(
-        lookback=args.lookback, horizon=args.horizon, reduction=args.reduction,
-        lr=args.lr, batch_size=args.batch_size, epochs=args.epochs, seed=args.seed,
-        early_stop_patience=args.early_stop_patience, lr_decay=args.lr_decay)
+    config = TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)})
     series, splits, _, (train_ds, val_ds, test_ds) = _prepared_windows(
         args, config.lookback, config.horizon)
     summary = series_summary(series, splits)
@@ -362,15 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="fit the forecaster and report test metrics")
     _add_data_flags(p_train)
-    p_train.add_argument("--lookback", type=int, default=96)
-    p_train.add_argument("--horizon", type=int, default=96)
-    p_train.add_argument("--reduction", type=int, default=2)
-    p_train.add_argument("--lr", type=float, default=1e-4)
-    p_train.add_argument("--batch-size", type=int, default=32)
-    p_train.add_argument("--epochs", type=int, default=10)
-    p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--early-stop-patience", type=int, default=3)
-    p_train.add_argument("--lr-decay", type=float, default=0.5)
+    # One flag per TrainConfig field, with its default; manifest.json lists them in field order.
+    for f in dataclasses.fields(TrainConfig):
+        p_train.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default),
+                             default=f.default)
     p_train.add_argument("--ablation", action="store_true",
                          help="train matched arms with and without attention")
     p_train.add_argument("--out", type=Path, default=Path("fecam_out"))

@@ -2,9 +2,8 @@
 
 Covers CSV loading with strict validation, chronological train/val/test
 splitting, per-channel standardization fitted on the training slice only,
-sliding-window generation, deterministic synthetic series for tests and
-smoke runs, and the CSV writer every artifact goes through. Everything stays
-in memory; input files are never mutated.
+sliding-window generation, and the CSV writer every artifact goes through.
+Everything stays in memory; input files are never mutated.
 
 A clean CSV (no quote, no lone CR, no ragged, blank, NaN or infinite cell,
 timestamps of one kind and strictly increasing) is read in one np.loadtxt
@@ -23,6 +22,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -210,7 +210,7 @@ def _read_clean(path: Path, date_column: str | int) -> RawSeries | None:
         return None
     # np.loadtxt with usecols ignores extra cells, so the count is what rejects ragged rows.
     commas = len(header) - 1
-    if any(line.count(",") != commas for line in lines):
+    if set(map(str.count, lines, repeat(","))) != {commas}:
         return None
     try:
         # comments=None: the default "#" would cut a cell short.
@@ -434,68 +434,24 @@ class WindowedDataset:
         return self.inputs.shape[1]
 
 
-def make_windows(series, lookback: int, horizon: int, stride: int = 1) -> WindowedDataset:
-    """Slide an L-in / O-out window pair over the series at the given stride.
+def make_windows(series, lookback: int, horizon: int) -> WindowedDataset:
+    """Every L-in / O-out window pair of the series, one per start step.
 
-    Each target window starts exactly where its input window ends. At stride
-    1 the pair count is T - L - O + 1. Inputs and targets are read-only views
-    of the series' observations, so no window is copied; indexing a batch out
-    of them makes the copy.
+    Each target window starts exactly where its input window ends, so there
+    are T - L - O + 1 pairs. Inputs and targets are read-only views of the
+    series' observations, so no window is copied; indexing a batch out of
+    them makes the copy.
     """
     observations = series.observations if isinstance(series, RawSeries) else np.asarray(series)
-    if lookback < 1 or horizon < 1 or stride < 1:
-        raise ValueError("lookback, horizon and stride must be positive")
+    if lookback < 1 or horizon < 1:
+        raise ValueError("lookback and horizon must be positive")
     t = observations.shape[0]
     if t < lookback + horizon:
         raise ValueError(
             f"series of length {t} too short for lookback {lookback} + horizon {horizon}")
-    count = t - lookback - horizon + 1
-    inputs = sliding_window_view(observations, lookback, axis=0)[:count:stride]
-    targets = sliding_window_view(observations[lookback:], horizon, axis=0)[::stride]
+    inputs = sliding_window_view(observations, lookback, axis=0)[:t - lookback - horizon + 1]
+    targets = sliding_window_view(observations[lookback:], horizon, axis=0)
     return WindowedDataset(inputs, targets, lookback, horizon)
-
-
-SYNTH_KINDS = ("sinusoid_mix", "ramp", "square")
-
-# Incommensurate base periods, stretched per channel so that channels carry
-# genuinely different spectra rather than rescaled copies of one signal.
-_SINUSOID_PERIODS = (13.37, 29.7, 71.3)
-_SINUSOID_AMPLITUDES = (1.0, 0.6, 0.4)
-
-
-def synth_series(kind: str, length: int, channels: int,
-                 noise_std: float = 0.0, seed: int = 0) -> RawSeries:
-    """Deterministic synthetic multivariate series for tests and demos.
-
-    sinusoid_mix sums three incommensurate sinusoids per channel, with
-    channel-specific periods, amplitudes and phases; ramp is strictly
-    increasing with a per-channel slope; square alternates at a per-channel
-    period. The seed only drives the optional additive noise, so the clean
-    signal is identical across seeds.
-    """
-    if kind not in SYNTH_KINDS:
-        raise ValueError(f"kind must be one of {SYNTH_KINDS}, got {kind!r}")
-    if length < 1 or channels < 1:
-        raise ValueError("length and channels must be positive")
-    t = np.arange(length, dtype=np.float64)
-    observations = np.empty((length, channels))
-    for c in range(channels):
-        if kind == "sinusoid_mix":
-            stretch = 1.0 + 0.15 * c
-            wave = np.zeros(length)
-            for k, (period, amp) in enumerate(zip(_SINUSOID_PERIODS, _SINUSOID_AMPLITUDES)):
-                phase = 2.0 * np.pi * (0.37 * c + 0.113 * k + 0.051 * c * k)
-                wave += amp * (1.0 + 0.2 * c) * np.sin(2.0 * np.pi * t / (period * stretch) + phase)
-            observations[:, c] = wave
-        elif kind == "ramp":
-            observations[:, c] = (0.5 + 0.25 * c) * (t + 1.0)
-        else:
-            period = 20.0 + 6.0 * c
-            observations[:, c] = np.where(np.sin(2.0 * np.pi * t / period + 0.3 * c) >= 0, 1.0, -1.0)
-    if noise_std > 0.0:
-        observations += np.random.default_rng(seed).normal(0.0, noise_std, observations.shape)
-    names = [f"ch{c}" for c in range(channels)]
-    return RawSeries(list(t), observations, names)
 
 
 def series_summary(series: RawSeries, splits=None) -> dict:

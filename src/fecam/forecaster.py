@@ -254,12 +254,12 @@ def train(model: ForecastModel, train_ds: WindowedDataset, val_ds: WindowedDatas
     return model, history
 
 
-def evaluate(model: ForecastModel, ds: WindowedDataset, batch_size: int = INFERENCE_BATCH) -> EvalReport:
+def evaluate(model: ForecastModel, ds: WindowedDataset) -> EvalReport:
     """MSE/MAE over every (window, channel, step) element of the dataset.
 
     Runs the model over INFERENCE_BATCH windows at a time, whose temporaries
     stay small enough to be reused rather than mapped afresh per batch.
-    Accumulates plain sums, so the result does not depend on batch_size
+    Accumulates plain sums, so the result does not depend on that batch size
     beyond rounding.
     """
     _check_dataset(ds, model, "eval")
@@ -267,8 +267,8 @@ def evaluate(model: ForecastModel, ds: WindowedDataset, batch_size: int = INFERE
     abs_sum = 0.0
     count = 0
     step_sq = np.zeros(ds.horizon)
-    for start in range(0, ds.n_windows, batch_size):
-        stop = start + batch_size
+    for start in range(0, ds.n_windows, INFERENCE_BATCH):
+        stop = start + INFERENCE_BATCH
         pred = model_forward(model, ds.inputs[start:stop])
         diff = pred - ds.targets[start:stop]
         sq = diff * diff

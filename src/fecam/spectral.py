@@ -197,15 +197,14 @@ def fourier_partial_sum(model: FourierSeriesModel, order: int, x):
     return total if np.ndim(x) else float(total[0])
 
 
-def square_wave_series(amplitude: float = 1.0, period: float = 2 * np.pi,
-                       max_order: int = 10_000) -> FourierSeriesModel:
-    """Series of the +-amplitude square wave sign(sin(2 pi x / period)).
+def square_wave_series(amplitude: float = 1.0, max_order: int = 10_000) -> FourierSeriesModel:
+    """Series of the +-amplitude square wave sign(sin(x)), period 2 pi.
 
     Coefficients are analytic: b_n = 4A/(pi n) for odd n, zero otherwise.
     """
     n = np.arange(1, max_order + 1)
     sin_c = np.where(n % 2 == 1, 4 * amplitude / (np.pi * n), 0.0)
-    return FourierSeriesModel(period=period, a0=0.0,
+    return FourierSeriesModel(period=2 * np.pi, a0=0.0,
                               cos_coeffs=np.zeros(max_order), sin_coeffs=sin_c)
 
 
@@ -214,20 +213,18 @@ def square_wave_probe(amplitude: float = 1.0) -> JumpProbe:
     return JumpProbe(location=0.0, left_limit=-amplitude, right_limit=amplitude)
 
 
-def pulse_wave_series(amplitude: float = 1.0, duty: float = 1.0 / 3.0, period: float = 1.0,
-                      max_order: int = 10_000) -> FourierSeriesModel:
-    """Series of the 0/A pulse that is A on (0, duty*period).
+def pulse_wave_series(amplitude: float = 1.0, max_order: int = 10_000) -> FourierSeriesModel:
+    """Series of the period-1 0/A pulse that is A on (0, d), duty d = 1/3.
 
-    a0 = 2*A*duty, a_n = A*sin(2 pi n d)/(pi n), b_n = A*(1 - cos(2 pi n d))/(pi n).
+    a0 = 2*A*d, a_n = A*sin(2 pi n d)/(pi n), b_n = A*(1 - cos(2 pi n d))/(pi n).
     Unlike the square wave, its partial sums at the jump are not pinned to the
     midpoint by symmetry, which makes it a real convergence probe.
     """
-    if not 0 < duty < 1:
-        raise ValueError("duty must lie in (0, 1)")
+    duty = 1.0 / 3.0
     n = np.arange(1, max_order + 1)
     cos_c = amplitude * np.sin(2 * np.pi * n * duty) / (np.pi * n)
     sin_c = amplitude * (1 - np.cos(2 * np.pi * n * duty)) / (np.pi * n)
-    return FourierSeriesModel(period=period, a0=2 * amplitude * duty,
+    return FourierSeriesModel(period=1.0, a0=2 * amplitude * duty,
                               cos_coeffs=cos_c, sin_coeffs=sin_c)
 
 
@@ -301,10 +298,7 @@ def edge_error(x, recon) -> float:
     return float(np.max(np.abs(np.asarray(recon)[edge] - x[edge])))
 
 
-def low_frequency_signal(length: int = 16, components: int = 3) -> np.ndarray:
-    """Sum of the first few cosine basis vectors; the energy-compaction fixture."""
+def low_frequency_signal(length: int = 16) -> np.ndarray:
+    """Sum of the first three cosine basis vectors; the energy-compaction fixture."""
     i = np.arange(length)
-    sig = np.zeros(length)
-    for l in range(components):
-        sig += np.cos(np.pi * l / length * (i + 0.5))
-    return sig
+    return sum(np.cos(np.pi * l / length * (i + 0.5)) for l in range(3))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fecam.attention import Excitation, fecam_backward, fecam_forward
-from fecam.data import chronological_split, fit_standardizer, load_csv, make_windows, synth_series
+from fecam.data import chronological_split, fit_standardizer, load_csv, make_windows
 from fecam.forecaster import (
     TrainConfig,
     ablation_compare,
@@ -28,7 +28,6 @@ from fecam.nncore import (
     DenseLayer,
     dense_backward,
     dense_forward,
-    grad_check,
     mse_loss,
     relu_backward,
     relu_forward,
@@ -48,7 +47,9 @@ from fecam.spectral import (
     truncated_reconstructions,
 )
 
+from grad_check import grad_check
 from param_pairs import param_pairs
+from synth_series import synth_series
 
 
 def test_01_lowest_dct_coefficient_equals_scaled_mean_for_1000_signals():

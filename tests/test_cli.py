@@ -8,10 +8,12 @@ check the packaging wiring.
 import csv
 import hashlib
 import json
+import shlex
 import shutil
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,12 +24,12 @@ from fecam.data import (
     fit_standardizer,
     load_csv,
     make_windows,
-    synth_series,
 )
 from fecam.forecaster import DivergenceError, ForecastModel, save_model
 from fecam.spectral import low_frequency_signal, truncated_reconstructions
 
 from param_pairs import param_pairs
+from synth_series import synth_series
 
 
 @pytest.fixture(autouse=True)
@@ -923,3 +925,20 @@ def test_usage_error_from_argparse_is_exit_2():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["train"])  # --data is required
     assert excinfo.value.code == 2
+
+
+def readme_block(section: str, opening: str) -> str:
+    """The first fenced block under README's `### section` whose text starts with opening."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    body = text.split(f"\n### {section}\n", 1)[1].split("\n### ", 1)[0]
+    blocks = [block.split("\n", 1)[1] for block in body.split("```")[1::2]]
+    return next(block for block in blocks if block.startswith(opening))
+
+
+def test_readme_toy_input_trains_and_exports_attention(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    exec(readme_block("train", "import numpy"), {})
+    for section, out in (("train", "run1/metrics.json"), ("attention", "att_run/attention.csv")):
+        argv = shlex.split(readme_block(section, "fecam ").replace("\\\n", " "))
+        assert cli.main(argv[1:]) == 0
+        assert (tmp_path / out).is_file()

@@ -19,10 +19,11 @@ from fecam.data import (
     load_csv,
     make_windows,
     series_summary,
-    synth_series,
     write_csv,
 )
 from fecam.spectral import ORTHO, dct_forward
+
+from synth_series import synth_series
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -623,23 +624,20 @@ def test_window_count_formula_across_sizes():
         assert ds.n_windows == t - lookback - horizon + 1
 
 
-def test_stride_reduces_window_count():
-    ds = make_windows(make_series(20, 1), 4, 2, stride=3)
-    assert ds.n_windows == len(range(0, 20 - 6 + 1, 3))
-
-
-@pytest.mark.parametrize("t, channels, lookback, horizon, stride", [
+@pytest.mark.parametrize("t, channels, lookback, horizon, step", [
     (10, 2, 3, 2, 1), (50, 1, 7, 7, 3), (192, 3, 96, 96, 1), (41, 4, 5, 1, 4), (30, 2, 1, 29, 1),
 ])
-def test_windows_are_read_only_views_of_the_series(t, channels, lookback, horizon, stride):
+def test_windows_are_read_only_views_of_the_series(t, channels, lookback, horizon, step):
+    # Every step-th pair, which a caller takes by slicing, is still a view.
     series = synth_series("sinusoid_mix", t, channels, noise_std=0.1, seed=t)
     obs = series.observations
-    starts = range(0, t - lookback - horizon + 1, stride)
-    ds = make_windows(series, lookback, horizon, stride=stride)
-    np.testing.assert_array_equal(ds.inputs, np.stack([obs[s:s + lookback].T for s in starts]))
+    starts = range(0, t - lookback - horizon + 1, step)
+    ds = make_windows(series, lookback, horizon)
+    inputs, targets = ds.inputs[::step], ds.targets[::step]
+    np.testing.assert_array_equal(inputs, np.stack([obs[s:s + lookback].T for s in starts]))
     np.testing.assert_array_equal(
-        ds.targets, np.stack([obs[s + lookback:s + lookback + horizon].T for s in starts]))
-    for windows in (ds.inputs, ds.targets):
+        targets, np.stack([obs[s + lookback:s + lookback + horizon].T for s in starts]))
+    for windows in (inputs, targets):
         assert np.shares_memory(windows, obs)
         with pytest.raises(ValueError, match="read-only"):
             windows[0, 0, 0] = 1.0

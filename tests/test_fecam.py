@@ -13,9 +13,10 @@ from fecam.attention import (
     fecam_forward,
 )
 from fecam.forecaster import ForecastModel, load_model, save_model
-from fecam.nncore import dense_backward, dense_forward, grad_check, mse_loss, relu_backward, relu_forward
+from fecam.nncore import dense_backward, dense_forward, mse_loss, relu_backward, relu_forward
 from fecam.spectral import ORTHO, UNNORMALIZED, dct_forward, dct_matrix
 
+from grad_check import grad_check
 from param_pairs import param_pairs
 
 

@@ -12,7 +12,6 @@ from fecam.data import (
     chronological_split,
     fit_standardizer,
     make_windows,
-    synth_series,
 )
 from fecam.forecaster import (
     AblationResult,
@@ -29,9 +28,11 @@ from fecam.forecaster import (
     save_model,
     train,
 )
-from fecam.nncore import AdamState, DenseLayer, adam_step, grad_check, mse_loss
+from fecam.nncore import AdamState, DenseLayer, adam_step, mse_loss
 
+from grad_check import grad_check
 from param_pairs import param_pairs
+from synth_series import synth_series
 
 
 def tiny_pipeline(lookback=16, horizon=8, channels=2, length=400, noise=0.1, seed=0):
@@ -211,19 +212,23 @@ def test_step_curve_shape_and_mean():
     assert report.mse == pytest.approx(float(report.step_mse.mean()), rel=1e-12)
 
 
-def test_metrics_invariant_to_batch_partitioning():
+def test_metrics_invariant_to_batch_partitioning(monkeypatch):
     _, _, test_ds = tiny_pipeline(length=2000)
     assert test_ds.n_windows > 5 * forecaster.INFERENCE_BATCH
     model = build_model(TrainConfig(lookback=16, horizon=8, seed=2))
-    full = evaluate(model, test_ds, batch_size=10_000)
-    for chunked in (evaluate(model, test_ds), evaluate(model, test_ds, batch_size=7)):
+    reports = []
+    for batch in (10_000, forecaster.INFERENCE_BATCH, 7):  # evaluate reads the constant per call
+        monkeypatch.setattr(forecaster, "INFERENCE_BATCH", batch)
+        reports.append(evaluate(model, test_ds))
+    full = reports[0]
+    for chunked in reports[1:]:
         assert full.mse == pytest.approx(chunked.mse, rel=1e-12)
         assert full.mae == pytest.approx(chunked.mae, rel=1e-12)
         np.testing.assert_allclose(chunked.step_mse, full.step_mse, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("with_fecam", [True, False], ids=["fecam", "plain"])
-def test_window_views_and_contiguous_copies_give_identical_results(with_fecam):
+def test_window_views_and_contiguous_copies_give_identical_results(with_fecam, monkeypatch):
     train_ds, _, test_ds = tiny_pipeline(lookback=16, horizon=8, channels=3)
     assert not test_ds.inputs.flags.writeable
     model = build_model(TrainConfig(lookback=16, horizon=8, seed=3), with_fecam=with_fecam)
@@ -238,7 +243,8 @@ def test_window_views_and_contiguous_copies_give_identical_results(with_fecam):
     contiguous = WindowedDataset(np.ascontiguousarray(test_ds.inputs),
                                  np.ascontiguousarray(test_ds.targets), 16, 8)
     for batch_size in (7, 256):
-        got, want = evaluate(model, test_ds, batch_size), evaluate(model, contiguous, batch_size)
+        monkeypatch.setattr(forecaster, "INFERENCE_BATCH", batch_size)
+        got, want = evaluate(model, test_ds), evaluate(model, contiguous)
         assert (got.mse, got.mae) == (want.mse, want.mae)
         assert got.step_mse.tobytes() == want.step_mse.tobytes()
 

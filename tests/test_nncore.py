@@ -16,7 +16,6 @@ from fecam.nncore import (
     adam_step,
     dense_backward,
     dense_forward,
-    grad_check,
     load_checkpoint,
     mse_loss,
     relu_backward,
@@ -26,6 +25,7 @@ from fecam.nncore import (
     sigmoid_forward,
 )
 
+from grad_check import grad_check
 from param_pairs import param_pairs
 
 

@@ -271,7 +271,7 @@ def test_square_wave_first_harmonic_peak():
 
 
 def test_order_zero_is_half_a0():
-    model = pulse_wave_series(duty=1 / 3, max_order=10)
+    model = pulse_wave_series(max_order=10)
     for x in (0.0, 0.31, 0.77):
         assert fourier_partial_sum(model, 0, x) == pytest.approx(model.a0 / 2)
 
@@ -285,7 +285,7 @@ def test_order_above_max_rejected():
 def test_partial_sum_converges_to_jump_midpoint():
     # At the jump the partial sum tends to the average of the one-sided
     # limits; the asymmetric pulse makes this nontrivial at finite order.
-    model = pulse_wave_series(duty=1 / 3, max_order=10_000)
+    model = pulse_wave_series(max_order=10_000)
     probe = pulse_wave_probe()
     midpoint = 0.5 * (probe.left_limit + probe.right_limit)
     assert fourier_partial_sum(model, 10_000, probe.location) == pytest.approx(
