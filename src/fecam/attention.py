@@ -129,16 +129,13 @@ def fecam_backward(upstream, block: Excitation, cache: dict, *,
     return d_x
 
 
-def export_attention(mean_att, path) -> np.ndarray:
+def export_attention(mean_att, path) -> None:
     """Write a window-averaged (C, L) attention map as a position-by-channel CSV.
 
     fecam_forward scales the time-domain input elementwise, so row l is the
     weight of lookback position l, oldest first; one column per channel.
-    Returns the (L, C) matrix that was written.
     """
     mean_att = np.asarray(mean_att, dtype=np.float64)
     if mean_att.ndim != 2:
         raise ValueError(f"mean_att must have shape (channels, length), got {mean_att.shape}")
-    heatmap = mean_att.T
-    write_csv(path, [f"channel_{c}" for c in range(heatmap.shape[1])], heatmap)
-    return heatmap
+    write_csv(path, [f"channel_{c}" for c in range(mean_att.shape[0])], mean_att.T)

@@ -10,6 +10,7 @@ step.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 CHECKPOINT_FORMAT = "fecam-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def _as_array(x, name: str) -> np.ndarray:
@@ -198,15 +199,16 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    """Write named arrays to a versioned JSON checkpoint."""
+    """Write named arrays to a versioned JSON checkpoint, each as base64 float64 bytes."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "meta": dict(meta or {}),
         "arrays": {
             name: {
-                "shape": list(np.asarray(a).shape),
-                "data": np.asarray(a, dtype=np.float64).ravel().tolist(),
+                "shape": list(np.shape(a)),
+                "data": base64.b64encode(
+                    np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii"),
             }
             for name, a in arrays.items()
         },
@@ -217,16 +219,21 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint written by save_checkpoint; returns (arrays, meta).
 
-    Every malformed part raises ValueError: a payload, `arrays` or `meta`
-    that is not an object, an entry without a list `shape` of non-negative
-    ints and a list `data` of numbers, and arrays holding NaN or infinity,
-    naming the array.
+    Each array's `data` is one base64 string of its little-endian float64
+    bytes, in C order. Every malformed part raises ValueError: a payload,
+    `arrays` or `meta` that is not an object, an entry without a list `shape`
+    of non-negative ints and a string `data`, data whose length does not
+    match the shape (checked before decoding, so a huge shape allocates
+    nothing), data that is not strict base64, and arrays holding NaN or
+    infinity, naming the array. Version-1 files, which stored decimal
+    lists, are refused. The arrays returned are writable float64.
     """
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
+        raise ValueError(f"unsupported checkpoint version {payload.get('version')}: this fecam "
+                         f"reads version {CHECKPOINT_VERSION}; re-run `fecam train` to write one")
     entries = payload.get("arrays")
     meta = payload.get("meta", {})
     if not isinstance(entries, dict) or not isinstance(meta, dict):
@@ -235,17 +242,22 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     for name, entry in entries.items():
         shape = entry.get("shape") if isinstance(entry, dict) else None
         if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
-                and isinstance(entry.get("data"), list)):
+                and isinstance(entry.get("data"), str)):
             raise ValueError(f"array {name!r}: need a list 'shape' of non-negative ints "
-                             "and a list 'data'")
+                             "and a base64 string 'data'")
         shape = tuple(shape)
-        try:
-            data = np.asarray(entry["data"], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ValueError(f"array {name!r}: data must be a list of numbers") from None
-        if data.size != math.prod(shape):
+        data, nbytes = entry["data"], 8 * math.prod(shape)
+        # Padded base64 spends 4 characters on every 3 bytes or part of 3.
+        if len(data) != (nbytes + 2) // 3 * 4:
             raise ValueError(f"array {name!r}: data length does not match shape {shape}")
-        if not np.all(np.isfinite(data)):
+        try:
+            raw = base64.b64decode(data, validate=True)
+        except ValueError as exc:  # binascii.Error
+            raise ValueError(f"array {name!r}: data is not valid base64: {exc}") from None
+        if len(raw) != nbytes:
+            raise ValueError(f"array {name!r}: data length does not match shape {shape}")
+        values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        if not np.all(np.isfinite(values)):
             raise ValueError(f"array {name!r} contains non-finite values")
-        arrays[name] = data.reshape(shape)
+        arrays[name] = values.reshape(shape)
     return arrays, meta

@@ -5,6 +5,7 @@ asserted directly; one test goes through the installed console script to
 check the packaging wiring.
 """
 
+import base64
 import csv
 import hashlib
 import json
@@ -26,6 +27,7 @@ from fecam.data import (
     make_windows,
 )
 from fecam.forecaster import DivergenceError, ForecastModel, save_model
+from fecam.nncore import CHECKPOINT_VERSION
 from fecam.spectral import low_frequency_signal, truncated_reconstructions
 
 from param_pairs import param_pairs
@@ -532,8 +534,8 @@ def test_attention_rejects_plain_checkpoint(data_csv, tmp_path):
 
 def test_attention_rejects_non_finite_checkpoint(data_csv, tmp_path, capsys):
     ckpt = make_checkpoint(tmp_path)
-    payload = json.loads(ckpt.read_text())
-    payload["arrays"]["projection.weight"]["data"][3] = float("nan")
+    payload = edited(json.loads(ckpt.read_text()), ("arrays", "projection.weight", "data"),
+                     with_bits(QUIET_NAN))
     ckpt.write_text(json.dumps(payload))
     out = tmp_path / "x"
     assert cli.main(["attention", "--checkpoint", str(ckpt), "--data", str(data_csv),
@@ -573,8 +575,8 @@ def test_streamed_attention_mean_matches_concatenated_mean(tmp_path, monkeypatch
         return forward(x, block)
 
     def spy_export(mean_att, csv_path):
-        written.append(export(mean_att, csv_path))
-        return written[-1]
+        written.append(mean_att.T)
+        export(mean_att, csv_path)
 
     monkeypatch.setattr(cli, "fecam_forward", spy_forward)
     monkeypatch.setattr(cli, "export_attention", spy_export)
@@ -603,7 +605,10 @@ DROP = object()
 
 
 def edited(payload, keys, value):
-    """payload with the entry at the key path set to value (DROP deletes it)."""
+    """payload with the entry at the key path set to value (DROP deletes it).
+
+    A callable value is applied to the entry it replaces.
+    """
     if not keys:
         return value
     target = payload
@@ -612,8 +617,49 @@ def edited(payload, keys, value):
     if value is DROP:
         del target[keys[-1]]
     else:
-        target[keys[-1]] = value
+        target[keys[-1]] = value(target[keys[-1]]) if callable(value) else value
     return payload
+
+
+def b64(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def unb64(data: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(data), dtype="<f8")
+
+
+QUIET_NAN, NEGATIVE_NAN = 0x7FF8_0000_0000_0000, 0xFFF8_0000_0000_0000
+SIGNALLING_NAN = 0x7FF0_0000_0000_0001
+POS_INF, NEG_INF = 0x7FF0_0000_0000_0000, 0xFFF0_0000_0000_0000
+
+
+def with_bits(bits: int):
+    """Edit that sets element 3 of an array's data to the float64 with these bits."""
+    def edit(data: str) -> str:
+        values = unb64(data).copy()
+        values.view("<u8")[3] = bits
+        return b64(values)
+    return edit
+
+
+# Edits of an array's base64 'data', each applied to the valid string it
+# replaces, with the message loading must then give.
+NOT_FINITE = "array 'projection.bias' contains non-finite values"
+LENGTH = "array 'projection.bias': data length does not match shape"
+NOT_BASE64 = "array 'projection.bias': data is not valid base64"
+DATA_EDITS = {
+    "data-bad-char": (lambda data: "*" + data[1:], NOT_BASE64),
+    "data-no-pad": (lambda data: data.rstrip("="), LENGTH),
+    "data-newline": (lambda data: data[:40] + "\n" + data[41:], NOT_BASE64),
+    "data-8-bytes-short": (lambda data: b64(unb64(data)[:-1]), LENGTH),
+    "data-v1-list": (lambda data: unb64(data).tolist(), "and a base64 string 'data'"),
+    "data-nan": (with_bits(QUIET_NAN), NOT_FINITE),
+    "data-negative-nan": (with_bits(NEGATIVE_NAN), NOT_FINITE),
+    "data-signalling-nan": (with_bits(SIGNALLING_NAN), NOT_FINITE),
+    "data-inf": (with_bits(POS_INF), NOT_FINITE),
+    "data-negative-inf": (with_bits(NEG_INF), NOT_FINITE),
+}
 
 
 BIAS = ("arrays", "projection.bias")
@@ -625,9 +671,9 @@ BIAS = ("arrays", "projection.bias")
     (("arrays",), [], "'arrays' and 'meta' must be JSON objects"),
     (("meta",), [1], "'arrays' and 'meta' must be JSON objects"),
     (("arrays", "x"), [1.0], "need a list 'shape'"),
-    ((*BIAS, "data"), DROP, "and a list 'data'"),
-    ((*BIAS, "data"), "abc", "and a list 'data'"),
-    ((*BIAS, "data"), [{}] * 16, "data must be a list of numbers"),
+    ((*BIAS, "data"), DROP, "and a base64 string 'data'"),
+    ((*BIAS, "data"), "abc", LENGTH),
+    ((*BIAS, "data"), [{}] * 16, "and a base64 string 'data'"),
     ((*BIAS, "shape"), DROP, "need a list 'shape'"),
     ((*BIAS, "shape"), 16, "need a list 'shape'"),
     ((*BIAS, "shape"), [-16], "need a list 'shape'"),
@@ -642,11 +688,15 @@ BIAS = ("arrays", "projection.bias")
     (("meta", "reduction"), 1, "fecam.excite1.weight: checkpoint shape (32, 16) != model shape"),
     (("arrays",), {}, "checkpoint missing array 'projection.weight'"),
     (("arrays", "fecam.excite1.weight"), DROP, "missing array 'fecam.excite1.weight'"),
+    (("version",), 1, f"unsupported checkpoint version 1: this fecam reads version "
+                      f"{CHECKPOINT_VERSION}; re-run `fecam train`"),
+    *[((*BIAS, "data"), edit, message) for edit, message in DATA_EDITS.values()],
 ], ids=["top-level-list", "no-arrays", "arrays-list", "meta-list", "entry-list",
         "no-data", "data-string", "data-objects", "no-shape", "shape-int", "shape-negative",
         "shape-float", "shape-huge", "meta-lookback-list", "meta-lookback-float",
         "meta-reduction-zero", "meta-with-fecam-float", "meta-with-fecam-string",
-        "meta-lookback-large", "meta-reduction-mismatch", "arrays-empty", "no-excite1"])
+        "meta-lookback-large", "meta-reduction-mismatch", "arrays-empty", "no-excite1",
+        "version-1", *DATA_EDITS])
 def test_attention_malformed_checkpoint_exits_2(data_csv, tmp_path, capsys, keys, value, message):
     ckpt = make_checkpoint(tmp_path)
     ckpt.write_text(json.dumps(edited(json.loads(ckpt.read_text()), keys, value)))
@@ -659,7 +709,7 @@ def test_attention_checks_checkpoint_sizes_before_drawing_weights(data_csv, tmp_
     # MiB; the file holds no arrays, so nothing that size may be allocated.
     ckpt = tmp_path / "ckpt.json"
     ckpt.write_text(json.dumps({
-        "format": "fecam-checkpoint", "version": 1, "arrays": {},
+        "format": "fecam-checkpoint", "version": CHECKPOINT_VERSION, "arrays": {},
         "meta": {"lookback": 2000, "horizon": 2000, "reduction": 2, "with_fecam": True}}))
     argv = ["attention", "--checkpoint", str(ckpt), "--data", str(data_csv)]
     tracemalloc.start()
@@ -764,7 +814,8 @@ FUZZ_FLAGS = {
 }
 META_VALUES = [DROP, None, -1, 0, 32.9, "32", True, [32], 4000, 2 ** 70]
 ARRAY_EDITS = [("shape", DROP), ("shape", [-1]), ("shape", [2 ** 70]), ("shape", "16"),
-               ("data", DROP), ("data", "abc"), ("data", [None]), ("data", [float("nan")] * 16)]
+               ("data", DROP), ("data", "abc"), ("data", [None]),
+               *[("data", edit) for edit, _ in DATA_EDITS.values()]]
 
 
 def fuzz_checkpoint(rng, payload: dict, path) -> None:

@@ -1,5 +1,6 @@
 """Tests for the frequency attention layer."""
 
+import base64
 import json
 import tracemalloc
 
@@ -299,7 +300,8 @@ def test_load_state_shape_mismatch(tmp_path):
     path = tmp_path / "model.json"
     save_model(path, ForecastModel(8, 4))
     payload = json.loads(path.read_text())
-    payload["arrays"]["fecam.excite1.weight"] = {"shape": [2, 2], "data": [0.0] * 4}
+    zeros = base64.b64encode(np.zeros(4).tobytes()).decode("ascii")
+    payload["arrays"]["fecam.excite1.weight"] = {"shape": [2, 2], "data": zeros}
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="fecam.excite1.weight"):
         load_model(path)
@@ -310,8 +312,9 @@ def test_load_state_shape_mismatch(tmp_path):
 def test_export_uniform_attention(tmp_path):
     att = np.full((3, 2, 4), 0.5)
     path = tmp_path / "att.csv"
-    heatmap = export_attention(att.mean(axis=0), path)
-    np.testing.assert_array_equal(heatmap, np.full((4, 2), 0.5))
+    export_attention(att.mean(axis=0), path)
+    reread = np.loadtxt(path, delimiter=",", skiprows=1)
+    np.testing.assert_allclose(reread, att.mean(axis=0).T, atol=1e-6)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "channel_0,channel_1"
     assert all(line == "0.5,0.5" for line in lines[1:])
@@ -321,6 +324,8 @@ def test_export_shape_contract(tmp_path):
     att = np.random.default_rng(47).uniform(0.1, 0.9, size=(5, 7, 96))
     path = tmp_path / "att.csv"
     export_attention(att.mean(axis=0), path)
+    reread = np.loadtxt(path, delimiter=",", skiprows=1)
+    np.testing.assert_allclose(reread, att.mean(axis=0).T, atol=1e-6)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 97  # header + one row per frequency
     assert all(len(line.split(",")) == 7 for line in lines)
@@ -330,10 +335,9 @@ def test_export_round_trip_precision(tmp_path):
     rng = np.random.default_rng(53)
     att = rng.uniform(1e-4, 1.0 - 1e-4, size=(4, 3, 8))
     path = tmp_path / "att.csv"
-    heatmap = export_attention(att.mean(axis=0), path)
+    export_attention(att.mean(axis=0), path)
     reread = np.loadtxt(path, delimiter=",", skiprows=1)
-    np.testing.assert_allclose(reread, heatmap, atol=1e-6)
-    np.testing.assert_allclose(heatmap, att.mean(axis=0).T, atol=1e-15)
+    np.testing.assert_allclose(reread, att.mean(axis=0).T, atol=1e-6)
 
 
 def test_export_rejects_unaveraged_map(tmp_path):

@@ -5,12 +5,14 @@ grad_check; the quadratic cases (linear maps, MSE) are exact for central
 differences up to rounding, so their tolerances are much tighter.
 """
 
+import base64
 import warnings
 
 import numpy as np
 import pytest
 
 from fecam.nncore import (
+    CHECKPOINT_VERSION,
     AdamState,
     DenseLayer,
     adam_step,
@@ -385,20 +387,28 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
         "weight": rng.normal(size=(4, 3)),
         "bias": rng.normal(size=3),
         "scalar": np.array(2.5),
+        "extremes": np.array([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+        "empty": np.zeros((0, 3)),
+        "fortran": np.asfortranarray(rng.normal(size=(3, 5)))[:, 1:4],
+        "ints": np.arange(-3, 3).reshape(2, 3),
     }
+    assert not arrays["fortran"].flags.c_contiguous
     path = tmp_path / "model.json"
     save_checkpoint(path, arrays, meta={"seq_len": 96})
     loaded, meta = load_checkpoint(path)
     assert meta == {"seq_len": 96}
     assert set(loaded) == set(arrays)
     for name in arrays:
-        np.testing.assert_array_equal(loaded[name], arrays[name])
+        expected = np.asarray(arrays[name], dtype=np.float64)
+        assert loaded[name].dtype == np.float64 and loaded[name].flags.writeable
         assert loaded[name].shape == arrays[name].shape
+        assert loaded[name].tobytes() == expected.tobytes()
 
 
 def test_checkpoint_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"format": "something-else", "version": 1, "arrays": {}}')
+    path.write_text('{"format": "something-else", "version": %d, "arrays": {}}'
+                    % CHECKPOINT_VERSION)
     with pytest.raises(ValueError):
         load_checkpoint(path)
 
@@ -412,15 +422,21 @@ def test_checkpoint_rejects_wrong_version(tmp_path):
 
 def test_checkpoint_rejects_shape_data_mismatch(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"format": "fecam-checkpoint", "version": 1, '
-                    '"arrays": {"w": {"shape": [2, 2], "data": [1.0, 2.0]}}}')
-    with pytest.raises(ValueError):
+    data = base64.b64encode(np.array([1.0, 2.0]).tobytes()).decode("ascii")
+    path.write_text('{"format": "fecam-checkpoint", "version": %d, '
+                    '"arrays": {"w": {"shape": [2, 2], "data": "%s"}}}' % (CHECKPOINT_VERSION, data))
+    with pytest.raises(ValueError, match="'w': data length does not match shape"):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-def test_checkpoint_rejects_non_finite_array(tmp_path, bad):
+@pytest.mark.parametrize("bits", [0x7FF8_0000_0000_0000, 0x7FF0_0000_0000_0000,
+                                  0xFFF0_0000_0000_0000, 0xFFF8_0000_0000_0000,
+                                  0x7FF0_0000_0000_0001],
+                         ids=["nan", "inf", "-inf", "negative-nan", "signalling-nan"])
+def test_checkpoint_rejects_non_finite_array(tmp_path, bits):
     path = tmp_path / "bad.json"
-    save_checkpoint(path, {"ok": np.ones(2), "w": np.array([[1.0, bad], [0.0, 2.0]])})
+    w = np.array([[1.0, 0.0], [0.0, 2.0]])
+    w.view(np.uint64)[0, 1] = bits
+    save_checkpoint(path, {"ok": np.ones(2), "w": w})
     with pytest.raises(ValueError, match="'w' contains non-finite"):
         load_checkpoint(path)
