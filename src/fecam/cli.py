@@ -46,7 +46,6 @@ from .forecaster import (
     INFERENCE_BATCH,
     DivergenceError,
     TrainConfig,
-    ablation_compare,
     build_model,
     evaluate,
     load_model,
@@ -162,23 +161,16 @@ def cmd_train(args) -> tuple[int, dict]:
     summary = series_summary(series, splits)
     baseline = persistence_report(test_ds)
 
-    # A plain run has one arm named "", so its files carry no suffix.
-    if args.ablation:
-        result = ablation_compare(train_ds, val_ds, test_ds, config)
-        arms = [("fecam", result.fecam_model, result.fecam_history, result.fecam_report),
-                ("plain", result.plain_model, result.plain_history, result.plain_report)]
-    else:
-        model, history = train(build_model(config), train_ds, val_ds, config)
-        arms = [("", model, history, evaluate(model, test_ds))]
-
+    # Both ablation arms draw the same projection weights and shuffle stream,
+    # so the attention layer is their only difference. A plain run has one
+    # arm named "", so its files carry no suffix.
     files = {"dataset.json": functools.partial(_write_json, payload=summary)}
-    if args.ablation:
-        files["ablation.json"] = functools.partial(_write_json, payload={
-            "fecam_mse": result.fecam_report.mse,
-            "plain_mse": result.plain_report.mse,
-            "mse_reduction_pct": result.mse_reduction_pct,
-        })
-    for arm, model, history, report in arms:
+    test_mse = {}
+    for arm in ("fecam", "plain") if args.ablation else ("",):
+        model, history = train(build_model(config, with_fecam=arm != "plain"),
+                               train_ds, val_ds, config)
+        report = evaluate(model, test_ds)
+        test_mse[arm] = report.mse
         suffix = f"_{arm}" if arm else ""
         payload = _metrics_payload(args, config, report, history)
         if arm:
@@ -190,6 +182,13 @@ def cmd_train(args) -> tuple[int, dict]:
             write_csv, header=["epoch", "train_loss", "val_loss"], rows=history)
         files[f"model{suffix}.json"] = functools.partial(
             save_model, model=model, extra_meta={"dataset": Path(args.data).name})
+    if args.ablation:
+        fecam_mse, plain_mse = test_mse["fecam"], test_mse["plain"]
+        files["ablation.json"] = functools.partial(_write_json, payload={
+            "fecam_mse": fecam_mse,
+            "plain_mse": plain_mse,
+            "mse_reduction_pct": (plain_mse - fecam_mse) / plain_mse * 100.0,
+        })
     return 0, files
 
 
@@ -210,9 +209,6 @@ def cmd_gibbs(args) -> tuple[int, dict]:
         raise ValueError(f"curve-points must be >= 1, got {args.curve_points}")
     if not np.isfinite(args.amplitude):
         raise ValueError(f"amplitude must be finite, got {args.amplitude}")
-    if args.wave == "sine":
-        raise ValueError("a sine wave has no jump discontinuity, so there is "
-                         "no overshoot to measure; use square or pulse")
     max_order = max(orders)
     if args.wave == "square":
         model = square_wave_series(args.amplitude, max_order=max_order)
@@ -372,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gibbs = sub.add_parser("gibbs", help="overshoot sweep for a jump discontinuity")
     p_gibbs.add_argument("--orders", default="10,100,1000,10000",
                          help="comma-separated partial-sum orders")
-    p_gibbs.add_argument("--wave", choices=("square", "pulse", "sine"), default="square")
+    p_gibbs.add_argument("--wave", choices=("square", "pulse"), default="square")
     p_gibbs.add_argument("--amplitude", type=float, default=1.0)
     p_gibbs.add_argument("--curve-points", type=int, default=512)
     p_gibbs.add_argument("--out", type=Path, default=Path("fecam_out"))

@@ -5,15 +5,15 @@ single lookback-to-horizon dense map whose weights are shared by every
 channel. Training is plain mini-batch Adam with seeded shuffling, per-epoch
 learning-rate decay, and early stopping on validation MSE; the best
 validation weights are restored at the end. A persistence baseline (repeat
-the last observed value) anchors every comparison, and ablation_compare
-trains matched models with and without the attention layer from identical
-initialization.
+the last observed value) anchors every comparison. Models built from one
+config with and without the attention layer start from the same projection
+weights, so the two can be trained as matched ablation arms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,19 +168,15 @@ def model_forward(model: ForecastModel, x, cache: dict | None = None) -> np.ndar
     return y
 
 
-def model_backward(model: ForecastModel, upstream, cache: dict, *,
-                   input_grad: bool = True) -> np.ndarray | None:
-    """Accumulate parameter grads from a forward cache; returns dL/dx.
-
-    With input_grad=False the same parameter grads accumulate, dL/dx is not
-    formed, and None is returned.
-    """
+def model_backward(model: ForecastModel, upstream, cache: dict) -> None:
+    """Accumulate parameter grads from a forward cache; dL/dx is not formed."""
     if not cache:
         raise ValueError("model_backward needs the cache filled by model_forward")
     if model.fecam is None:
-        return dense_backward(model.projection, upstream, cache["proj_in"], input_grad=input_grad)
-    d_feat = dense_backward(model.projection, upstream, cache["proj_in"])
-    return fecam_backward(d_feat, model.fecam, cache["fecam"], input_grad=input_grad)
+        dense_backward(model.projection, upstream, cache["proj_in"], input_grad=False)
+    else:
+        d_feat = dense_backward(model.projection, upstream, cache["proj_in"])
+        fecam_backward(d_feat, model.fecam, cache["fecam"], input_grad=False)
 
 
 def _check_dataset(ds: WindowedDataset, model: ForecastModel, name: str) -> None:
@@ -230,7 +226,7 @@ def train(model: ForecastModel, train_ds: WindowedDataset, val_ds: WindowedDatas
                         raise DivergenceError(
                             f"non-finite loss at epoch {epoch}, batch starting at {start}; "
                             f"try a lower learning rate (current {state.learning_rate:g})")
-                    model_backward(model, d_loss, cache, input_grad=False)
+                    model_backward(model, d_loss, cache)
                     adam_step([model.values], [model.grads], state)
                     sq_sum += loss * pred.size
                     count += pred.size
@@ -291,42 +287,6 @@ def persistence_report(ds: WindowedDataset) -> EvalReport:
     per_step = sq.sum(axis=(0, 1)) / (ds.n_windows * ds.channels)
     return EvalReport(mse=float(np.mean(sq)), mae=float(np.mean(np.abs(diff))),
                       step_mse=per_step)
-
-
-@dataclass
-class AblationResult:
-    fecam_report: EvalReport
-    plain_report: EvalReport
-    mse_reduction_pct: float
-    fecam_history: list = field(default_factory=list)
-    plain_history: list = field(default_factory=list)
-    fecam_model: ForecastModel | None = None
-    plain_model: ForecastModel | None = None
-
-
-def ablation_compare(train_ds: WindowedDataset, val_ds: WindowedDataset,
-                     test_ds: WindowedDataset, config: TrainConfig) -> AblationResult:
-    """Train attention and plain arms under one config and compare test MSE.
-
-    Both arms share the projection initialization and the shuffling stream,
-    so the attention layer is the only difference. The reported reduction is
-    (plain - fecam) / plain * 100.
-    """
-    reports = {}
-    histories = {}
-    models = {}
-    for name, with_fecam in (("fecam", True), ("plain", False)):
-        model = build_model(config, with_fecam=with_fecam)
-        model, history = train(model, train_ds, val_ds, config)
-        reports[name] = evaluate(model, test_ds)
-        histories[name] = history
-        models[name] = model
-    reduction = (reports["plain"].mse - reports["fecam"].mse) / reports["plain"].mse * 100.0
-    return AblationResult(
-        fecam_report=reports["fecam"], plain_report=reports["plain"],
-        mse_reduction_pct=reduction,
-        fecam_history=histories["fecam"], plain_history=histories["plain"],
-        fecam_model=models["fecam"], plain_model=models["plain"])
 
 
 def save_model(path, model: ForecastModel, extra_meta: dict | None = None) -> None:

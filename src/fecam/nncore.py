@@ -145,14 +145,17 @@ def mse_loss(pred, target) -> tuple[float, np.ndarray]:
     return loss, diff
 
 
+# Adam's moment decay rates and denominator floor; only the learning rate varies.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     """Optimizer state; moment and scratch buffers are allocated lazily on the first step."""
 
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     first_moment: list[np.ndarray] = field(default_factory=list)
     second_moment: list[np.ndarray] = field(default_factory=list)
@@ -177,21 +180,21 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     if len(state.first_moment) != len(params):
         raise ValueError("optimizer state sized for a different parameter list")
     state.step += 1
-    bias1 = 1.0 - state.beta1 ** state.step
-    bias2 = 1.0 - state.beta2 ** state.step
+    bias1 = 1.0 - ADAM_BETA1 ** state.step
+    bias2 = 1.0 - ADAM_BETA2 ** state.step
     for p, g, m, v, (a, b) in zip(params, grads, state.first_moment, state.second_moment,
                                   state.scratch, strict=True):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != p.shape or m.shape != p.shape:
             raise ValueError("parameter/gradient/state shape mismatch")
-        m *= state.beta1
-        m += np.multiply(1.0 - state.beta1, g, out=a)
-        v *= state.beta2
-        np.multiply(1.0 - state.beta2, g, out=a)
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
+        v *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, g, out=a)
         v += np.multiply(a, g, out=a)
         np.divide(v, bias2, out=a)
         np.sqrt(a, out=a)
-        a += state.epsilon
+        a += ADAM_EPSILON
         np.divide(m, bias1, out=b)
         np.multiply(state.learning_rate, b, out=b)
         p -= np.divide(b, a, out=b)

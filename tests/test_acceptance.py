@@ -16,7 +16,6 @@ from fecam.attention import Excitation, fecam_backward, fecam_forward
 from fecam.data import chronological_split, fit_standardizer, load_csv, make_windows
 from fecam.forecaster import (
     TrainConfig,
-    ablation_compare,
     build_model,
     evaluate,
     model_backward,
@@ -201,15 +200,17 @@ def test_05_gradient_checks_every_layer_and_full_model_20_seeds():
         model = build_model(TrainConfig(lookback=small_len, horizon=horizon, seed=seed))
         target_out = rng.normal(size=(b, c, horizon))
 
+        # The model forms parameter gradients only; the input gradients are
+        # checked layer by layer above (f_fecam, and f_dense for the projection).
         def f_model():
             model.zero_grad()
             cache = {}
             pred = model_forward(model, xs, cache)
             loss, dl = mse_loss(pred, target_out)
-            dx = model_backward(model, dl, cache)
-            return loss, [g for _, g in model.parameters()] + [dx]
+            model_backward(model, dl, cache)
+            return loss, [g for _, g in model.parameters()]
 
-        worst = max(worst, _checked_grad(f_model, [p for p, _ in model.parameters()] + [xs]))
+        worst = max(worst, _checked_grad(f_model, [p for p, _ in model.parameters()]))
 
     elapsed = time.perf_counter() - start
     print(f"criterion 5: worst gradient relative error {worst:.3e} in {elapsed:.1f}s")
@@ -280,11 +281,15 @@ def test_08_ablation_attention_arm_wins_majority_of_seeds():
         train_ds, val_ds, test_ds = _sinusoid_windows(seed=seed)
         config = TrainConfig(lookback=96, horizon=96, lr=3e-3, epochs=40,
                              lr_decay=1.0, early_stop_patience=5, seed=seed)
-        result = ablation_compare(train_ds, val_ds, test_ds, config)
-        won = result.fecam_report.mse <= result.plain_report.mse
+        mse = {}
+        for arm in ("fecam", "plain"):
+            model, _ = train(build_model(config, with_fecam=arm == "fecam"),
+                             train_ds, val_ds, config)
+            mse[arm] = evaluate(model, test_ds).mse
+        reduction = (mse["plain"] - mse["fecam"]) / mse["plain"] * 100.0
+        won = mse["fecam"] <= mse["plain"]
         wins += won
-        outcomes.append((seed, result.fecam_report.mse, result.plain_report.mse,
-                         result.mse_reduction_pct))
+        outcomes.append((seed, mse["fecam"], mse["plain"], reduction))
     elapsed = time.perf_counter() - start
     for seed, f_mse, p_mse, red in outcomes:
         print(f"criterion 8: seed {seed}: attention {f_mse:.5f} vs plain {p_mse:.5f} "

@@ -9,6 +9,7 @@ import base64
 import csv
 import hashlib
 import json
+import os
 import shlex
 import shutil
 import subprocess
@@ -26,7 +27,7 @@ from fecam.data import (
     load_csv,
     make_windows,
 )
-from fecam.forecaster import DivergenceError, ForecastModel, save_model
+from fecam.forecaster import DivergenceError, ForecastModel, load_model, save_model
 from fecam.nncore import CHECKPOINT_VERSION
 from fecam.spectral import low_frequency_signal, truncated_reconstructions
 
@@ -223,7 +224,9 @@ def test_train_ablation_writes_both_arms(data_csv, tmp_path):
     summary = json.loads((out / "ablation.json").read_text())
     expected = (plain_m["mse"] - fecam_m["mse"]) / plain_m["mse"] * 100.0
     assert summary["mse_reduction_pct"] == pytest.approx(expected, rel=1e-12)
-    assert (out / "model_fecam.json").exists() and (out / "model_plain.json").exists()
+    for arm, with_fecam in (("fecam", True), ("plain", False)):
+        _, meta = load_model(out / f"model_{arm}.json")
+        assert meta["with_fecam"] is with_fecam
     assert (out / "loss_history_fecam.csv").exists()
     for arm, metrics in (("fecam", fecam_m), ("plain", plain_m)):
         assert metrics["arm"] == arm
@@ -373,8 +376,13 @@ def test_gibbs_pulse_amplitude_scales_overshoots_and_targets(tmp_path):
 
 
 def test_gibbs_refuses_jumpless_wave(tmp_path, capsys):
-    assert cli.main(["gibbs", "--wave", "sine", "--out", str(tmp_path / "s")]) == 2
-    assert "no jump" in capsys.readouterr().err
+    # A sine wave has no jump to overshoot, so argparse does not offer it.
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["gibbs", "--wave", "sine", "--out", str(tmp_path / "s")])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "Traceback" not in err
+    assert not (tmp_path / "s").exists()
 
 
 def test_gibbs_rejects_bad_orders(tmp_path):
@@ -961,13 +969,18 @@ def test_fuzzed_flags_and_checkpoints_keep_the_failure_contract(data_csv, tmp_pa
 
 def test_console_script_entry_point(tmp_path):
     exe = shutil.which("fecam")
+    env = None
     if exe is None:
+        # Not installed: run the checkout's package, which pytest imports from src/.
         cmd = [sys.executable, "-m", "fecam.cli"]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     else:
         cmd = [exe]
     result = subprocess.run(cmd + ["theorems", "--trials", "5", "--max-len", "16",
                                    "--out", str(tmp_path / "thm")],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "PASS" in result.stdout
 

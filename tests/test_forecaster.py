@@ -14,11 +14,9 @@ from fecam.data import (
     make_windows,
 )
 from fecam.forecaster import (
-    AblationResult,
     DivergenceError,
     ForecastModel,
     TrainConfig,
-    ablation_compare,
     build_model,
     evaluate,
     load_model,
@@ -28,7 +26,7 @@ from fecam.forecaster import (
     save_model,
     train,
 )
-from fecam.nncore import AdamState, DenseLayer, adam_step, mse_loss
+from fecam.nncore import AdamState, DenseLayer, adam_step, dense_backward, mse_loss
 
 from grad_check import grad_check
 from param_pairs import param_pairs
@@ -107,10 +105,10 @@ def test_full_model_gradient_check():
         cache = {}
         pred = model_forward(model, x, cache)
         loss, d_loss = mse_loss(pred, target)
-        dx = model_backward(model, d_loss, cache)
-        return loss, [g for _, g in model.parameters()] + [dx]
+        model_backward(model, d_loss, cache)
+        return loss, [g for _, g in model.parameters()]
 
-    params = [p for p, _ in model.parameters()] + [x]
+    params = [p for p, _ in model.parameters()]
     assert grad_check(f, params) < 1e-4
 
 
@@ -261,7 +259,8 @@ def test_backward_on_window_views_equals_contiguous_copies(with_fecam):
         model.zero_grad()
         cache = {}
         loss, d_loss = mse_loss(model_forward(model, x, cache), y)
-        results = [np.array(loss), model_backward(model, d_loss, cache), model.grads.copy()]
+        model_backward(model, d_loss, cache)
+        results = [np.array(loss), model.grads.copy()]
         if with_fecam:
             layer_cache = {}
             out, att = fecam_forward(x, model.fecam, layer_cache)
@@ -278,6 +277,8 @@ def test_backward_on_window_views_equals_contiguous_copies(with_fecam):
 
 @pytest.mark.parametrize("with_fecam", [True, False], ids=["fecam", "plain"])
 def test_skipping_the_input_gradient_accumulates_the_same_grads(with_fecam):
+    # model_backward skips the model's input gradient; its parameter grads
+    # equal those of the explicit chain that forms it.
     train_ds, _, test_ds = tiny_pipeline(lookback=16, horizon=8, channels=3)
     model = build_model(TrainConfig(lookback=16, horizon=8, seed=5), with_fecam=with_fecam)
     idx = np.random.default_rng(3).permutation(train_ds.n_windows)[:32]
@@ -285,12 +286,19 @@ def test_skipping_the_input_gradient_accumulates_the_same_grads(with_fecam):
     for x, y in (view, (np.ascontiguousarray(view[0]), view[1]),
                  (train_ds.inputs[idx], train_ds.targets[idx])):
         grads = []
-        for input_grad in (True, False):
+        for chain in (False, True):
             model.zero_grad()
             cache = {}
             _, d_loss = mse_loss(model_forward(model, x, cache), y)
-            d_x = model_backward(model, d_loss, cache, input_grad=input_grad)
-            assert (d_x is None) != input_grad
+            if not chain:
+                assert model_backward(model, d_loss, cache) is None
+            elif with_fecam:
+                d_feat = dense_backward(model.projection, d_loss, cache["proj_in"])
+                assert fecam_backward(d_feat, model.fecam, cache["fecam"],
+                                      input_grad=True).shape == x.shape
+            else:
+                assert dense_backward(model.projection, d_loss, cache["proj_in"],
+                                      input_grad=True).shape == x.shape
             grads.append(model.grads.tobytes())
         assert grads[0] == grads[1]
 
@@ -301,9 +309,9 @@ def test_train_does_not_ask_for_the_input_gradient(monkeypatch):
 
     def spy(*args, **kwargs):
         asked.append(kwargs.get("input_grad", True))
-        return model_backward(*args, **kwargs)
+        return fecam_backward(*args, **kwargs)
 
-    monkeypatch.setattr(forecaster, "model_backward", spy)
+    monkeypatch.setattr(forecaster, "fecam_backward", spy)
     train(build_model(TrainConfig(lookback=16, horizon=8)), train_ds, val_ds,
           TrainConfig(lookback=16, horizon=8, epochs=1))
     assert asked and not any(asked)
@@ -414,18 +422,6 @@ def test_frozen_attention_equals_halved_projection():
     report_halved = evaluate(halved, test_ds)
     assert report_frozen.mse == pytest.approx(report_halved.mse, abs=1e-12)
     assert report_frozen.mae == pytest.approx(report_halved.mae, abs=1e-12)
-
-
-def test_ablation_reduction_formula():
-    train_ds, val_ds, test_ds = tiny_pipeline()
-    cfg = TrainConfig(lookback=16, horizon=8, lr=1e-3, epochs=2)
-    result = ablation_compare(train_ds, val_ds, test_ds, cfg)
-    assert isinstance(result, AblationResult)
-    expected = (result.plain_report.mse - result.fecam_report.mse) \
-        / result.plain_report.mse * 100.0
-    assert result.mse_reduction_pct == pytest.approx(expected, rel=1e-12)
-    assert result.fecam_model.fecam is not None
-    assert result.plain_model.fecam is None
 
 
 # --- checkpoints -----------------------------------------------------------------------
