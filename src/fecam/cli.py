@@ -125,7 +125,8 @@ def _select_channel(series: RawSeries, channel: str | None) -> RawSeries:
         raise ValueError(
             f"no channel named {channel!r}; file has {series.channel_names}")
     idx = series.channel_names.index(channel)
-    return series._derive(series.observations[:, idx:idx + 1], [channel])
+    return dataclasses.replace(series, observations=series.observations[:, idx:idx + 1],
+                               channel_names=[channel])
 
 
 def _prepared_windows(args, lookback: int, horizon: int):
@@ -136,7 +137,7 @@ def _prepared_windows(args, lookback: int, horizon: int):
     splits = chronological_split(series, ratios, min_slice_len=lookback + horizon)
     scaler = fit_standardizer(splits[0])
     windows = tuple(make_windows(scaler.apply(s), lookback, horizon) for s in splits)
-    return series, splits, scaler, windows
+    return series, splits, windows
 
 
 def _metrics_payload(args, config: TrainConfig, report, history) -> dict:
@@ -156,7 +157,7 @@ def _metrics_payload(args, config: TrainConfig, report, history) -> dict:
 
 def cmd_train(args) -> tuple[int, dict]:
     config = TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)})
-    series, splits, _, (train_ds, val_ds, test_ds) = _prepared_windows(
+    series, splits, (train_ds, val_ds, test_ds) = _prepared_windows(
         args, config.lookback, config.horizon)
     summary = series_summary(series, splits)
     baseline = persistence_report(test_ds)
@@ -264,7 +265,7 @@ def cmd_attention(args) -> tuple[int, dict]:
     model, _ = load_model(args.checkpoint)
     if model.fecam is None:
         raise ValueError("checkpoint has no attention layer (trained with --ablation plain arm?)")
-    _, _, _, (_, _, test_ds) = _prepared_windows(args, model.lookback, model.horizon)
+    _, _, (_, _, test_ds) = _prepared_windows(args, model.lookback, model.horizon)
 
     # Summed batch by batch, so only one batch's map is held at a time.
     total = np.zeros(test_ds.inputs.shape[1:])

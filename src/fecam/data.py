@@ -10,11 +10,13 @@ timestamps of one kind and strictly increasing) is read in one np.loadtxt
 call for the values and one pass over the timestamp column. Every other
 file goes through csv.reader and one numpy conversion of the stripped cells
 with Python's float() rules; that reader alone reports errors, and finds and
-forward-fills missing cells with array operations. Timestamp order is
-checked once, when a series is made; series derived from it share its
-checked timestamps.
-Windows are read-only zero-copy views of the series, so windowing a T x C
-series costs O(T*C) memory, not O(N*C*(L+O)) for N windows.
+forward-fills missing cells with array operations. Both readers decode
+UTF-8 and drop a leading byte-order mark, as Excel's "CSV UTF-8" writes.
+Timestamp order is checked once, when a RawSeries is made; from the split
+on, every stage takes and returns plain (rows, C) float64 arrays.
+The split slices are views of the series' observations, and windows are
+read-only views of a standardized slice, so windowing a T x C series costs
+O(T*C) memory, not O(N*C*(L+O)) for N windows.
 """
 
 from __future__ import annotations
@@ -40,7 +42,14 @@ class RawSeries:
     channel_names: list[str]
 
     def __post_init__(self):
-        self._check_shapes()
+        self.observations = np.asarray(self.observations, dtype=np.float64)
+        if self.observations.ndim != 2:
+            raise ValueError("observations must be a T x C matrix")
+        t, c = self.observations.shape
+        if len(self.timestamps) != t:
+            raise ValueError(f"{len(self.timestamps)} timestamps for {t} rows")
+        if len(self.channel_names) != c:
+            raise ValueError(f"{len(self.channel_names)} names for {c} channels")
         # Only a failure of this cheap loop pays for _timestamp_fault's reason.
         try:
             for a, b in zip(self.timestamps, self.timestamps[1:]):
@@ -52,28 +61,6 @@ class RawSeries:
             pass
         index, reason = _timestamp_fault(self.timestamps)
         raise ValueError(f"timestamp {index}: {reason}")
-
-    def _check_shapes(self) -> None:
-        self.observations = np.asarray(self.observations, dtype=np.float64)
-        if self.observations.ndim != 2:
-            raise ValueError("observations must be a T x C matrix")
-        t, c = self.observations.shape
-        if len(self.timestamps) != t:
-            raise ValueError(f"{len(self.timestamps)} timestamps for {t} rows")
-        if len(self.channel_names) != c:
-            raise ValueError(f"{len(self.channel_names)} names for {c} channels")
-
-    def _derive(self, observations, channel_names: list[str],
-                rows: slice | None = None) -> RawSeries:
-        """A series on this one's timestamps, or on the contiguous run `rows` of
-        them. They were checked when this series was made and any such run of
-        them is still strictly increasing, so only the shapes are checked."""
-        derived = object.__new__(RawSeries)
-        derived.timestamps = self.timestamps if rows is None else self.timestamps[rows]
-        derived.observations = observations
-        derived.channel_names = channel_names
-        derived._check_shapes()
-        return derived
 
     @property
     def length(self) -> int:
@@ -186,7 +173,7 @@ def _read_clean(path: Path, date_column: str | int) -> RawSeries | None:
     quoted cells.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError:
         return None
@@ -268,7 +255,7 @@ def _csv_rows(fh, path: Path):
 def _read_validating(path: Path, date_column: str | int, fill_policy: str) -> RawSeries:
     """csv.reader and float() of each stripped cell, for any file; every
     error names the line of the first fault."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = _csv_rows(fh, path)
         try:
             header = next(reader)
@@ -337,11 +324,12 @@ def write_csv(path, header, rows) -> None:
 
 
 def chronological_split(series: RawSeries, ratios, min_slice_len: int = 1):
-    """Cut a series into contiguous (train, val, test) slices, in time order.
+    """Cut a series into contiguous (train, val, test) row slices, in time order.
 
-    Ratios are normalized internally; val and test get the floor of their
-    share and the remainder goes to train. Pass min_slice_len (typically
-    lookback + horizon) to reject splits too short to window.
+    Each slice is a view of series.observations. Ratios are normalized
+    internally; val and test get the floor of their share and the remainder
+    goes to train. Pass min_slice_len (typically lookback + horizon) to
+    reject splits too short to window.
     """
     ratios = [float(r) for r in ratios]
     if len(ratios) != 3 or not all(0 < r < np.inf for r in ratios):
@@ -360,8 +348,7 @@ def chronological_split(series: RawSeries, ratios, min_slice_len: int = 1):
         if hi - lo < min_slice_len:
             raise ValueError(
                 f"{name} slice has {hi - lo} rows, fewer than the required {min_slice_len}")
-        pieces.append(series._derive(series.observations[lo:hi].copy(),
-                                     list(series.channel_names), slice(lo, hi)))
+        pieces.append(series.observations[lo:hi])
     return tuple(pieces)
 
 
@@ -372,7 +359,7 @@ class Standardizer:
     mean: np.ndarray
     std: np.ndarray
 
-    def transform(self, observations: np.ndarray) -> np.ndarray:
+    def apply(self, observations: np.ndarray) -> np.ndarray:
         """Standardize; a finite cell too large to standardize is a ValueError."""
         observations = np.asarray(observations, dtype=np.float64)
         if observations.shape[-1] != self.mean.shape[0]:
@@ -382,9 +369,6 @@ class Standardizer:
             z = (observations - self.mean) / self.std
         _check_channels_finite(z, "standardized value")
         return z
-
-    def apply(self, series: RawSeries) -> RawSeries:
-        return series._derive(self.transform(series.observations), list(series.channel_names))
 
 
 def _check_channels_finite(values: np.ndarray, what: str) -> None:
@@ -404,9 +388,9 @@ def _channel_stats(observations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def fit_standardizer(train) -> Standardizer:
+def fit_standardizer(observations: np.ndarray) -> Standardizer:
     """Fit per-channel mean/std; degenerate (constant) or overflowing channels are an error."""
-    observations = train.observations if isinstance(train, RawSeries) else np.asarray(train)
+    observations = np.asarray(observations)
     if observations.ndim != 2 or observations.shape[0] == 0:
         raise ValueError("need a nonempty T x C matrix to fit")
     mean, std = _channel_stats(observations)
@@ -434,15 +418,15 @@ class WindowedDataset:
         return self.inputs.shape[1]
 
 
-def make_windows(series, lookback: int, horizon: int) -> WindowedDataset:
-    """Every L-in / O-out window pair of the series, one per start step.
+def make_windows(observations: np.ndarray, lookback: int, horizon: int) -> WindowedDataset:
+    """Every L-in / O-out window pair of a T x C array, one per start step.
 
     Each target window starts exactly where its input window ends, so there
     are T - L - O + 1 pairs. Inputs and targets are read-only views of the
-    series' observations, so no window is copied; indexing a batch out of
-    them makes the copy.
+    array, so no window is copied; indexing a batch out of them makes the
+    copy.
     """
-    observations = series.observations if isinstance(series, RawSeries) else np.asarray(series)
+    observations = np.asarray(observations)
     if lookback < 1 or horizon < 1:
         raise ValueError("lookback and horizon must be positive")
     t = observations.shape[0]
@@ -454,21 +438,18 @@ def make_windows(series, lookback: int, horizon: int) -> WindowedDataset:
     return WindowedDataset(inputs, targets, lookback, horizon)
 
 
-def series_summary(series: RawSeries, splits=None) -> dict:
-    """JSON-ready description: shape, per-channel stats, optional split sizes.
+def series_summary(series: RawSeries, splits) -> dict:
+    """JSON-ready description: shape, per-channel stats and split sizes.
 
     A huge cell outside the training slice overflows only these whole-series
     stats, and is the same error as in fit_standardizer.
     """
     means, stds = _channel_stats(series.observations)
-    summary = {
+    return {
         "length": series.length,
         "channels": series.channels,
         "channel_names": list(series.channel_names),
         "channel_means": [float(m) for m in means],
         "channel_stds": [float(s) for s in stds],
+        "split_sizes": {name: len(piece) for name, piece in zip(("train", "val", "test"), splits)},
     }
-    if splits is not None:
-        summary["split_sizes"] = {name: piece.length
-                                  for name, piece in zip(("train", "val", "test"), splits)}
-    return summary

@@ -216,6 +216,23 @@ def test_train_univariate_channel(data_csv, tmp_path):
                      "--out", str(tmp_path / "y")]) == 2
 
 
+def test_channel_flag_equals_a_file_of_that_channel_alone(data_csv, tmp_path):
+    rows = [line.split(",") for line in data_csv.read_text().splitlines()]
+    col = rows[0].index("ch1")
+    alone = tmp_path / "ch1.csv"
+    alone.write_text("".join(f"{row[0]},{row[col]}\n" for row in rows))
+    flag, file = tmp_path / "flag", tmp_path / "file"
+    assert run_train(data_csv, flag, "--channel", "ch1") == 0
+    assert run_train(alone, file) == 0
+    for name in ("loss_history.csv", "dataset.json"):
+        assert (flag / name).read_bytes() == (file / name).read_bytes()
+    arrays = [json.loads((out / "model.json").read_text())["arrays"] for out in (flag, file)]
+    assert arrays[0] == arrays[1]
+    metrics = [json.loads((out / "metrics.json").read_text()) for out in (flag, file)]
+    for key in ("mse", "mae", "step_mse"):
+        assert metrics[0][key] == metrics[1][key]
+
+
 def test_train_ablation_writes_both_arms(data_csv, tmp_path):
     out = tmp_path / "abl"
     assert run_train(data_csv, out, "--ablation") == 0
