@@ -65,9 +65,7 @@ from .spectral import (
     fourier_partial_sum,
     gibbs_sweep,
     low_frequency_signal,
-    pulse_wave_probe,
     pulse_wave_series,
-    square_wave_probe,
     square_wave_series,
     truncated_reconstructions,
 )
@@ -193,15 +191,6 @@ def cmd_train(args) -> tuple[int, dict]:
     return 0, files
 
 
-def _sample_curve(model, order: int, xs: np.ndarray) -> np.ndarray:
-    # Chunked evaluation keeps the (points x order) workspace small.
-    values = np.empty_like(xs)
-    for start in range(0, xs.size, 256):
-        block = xs[start:start + 256]
-        values[start:start + block.size] = fourier_partial_sum(model, order, block)
-    return values
-
-
 def cmd_gibbs(args) -> tuple[int, dict]:
     orders = _parse_int_list(args.orders)
     if any(n < 1 for n in orders):
@@ -210,15 +199,10 @@ def cmd_gibbs(args) -> tuple[int, dict]:
         raise ValueError(f"curve-points must be >= 1, got {args.curve_points}")
     if not np.isfinite(args.amplitude):
         raise ValueError(f"amplitude must be finite, got {args.amplitude}")
-    max_order = max(orders)
-    if args.wave == "square":
-        model = square_wave_series(args.amplitude, max_order=max_order)
-        probe = square_wave_probe(args.amplitude)
-    else:
-        model = pulse_wave_series(args.amplitude, max_order=max_order)
-        probe = pulse_wave_probe(args.amplitude)
+    make_wave = square_wave_series if args.wave == "square" else pulse_wave_series
+    model = make_wave(args.amplitude, max_order=max(orders))
 
-    rows = gibbs_sweep(model, probe, orders)
+    rows = gibbs_sweep(model, orders)
     if not np.all(np.isfinite(rows)):
         raise ValueError(f"amplitude {args.amplitude} overflows the overshoot sweep")
     xs = np.linspace(0.0, model.period, args.curve_points, endpoint=False)
@@ -226,11 +210,11 @@ def cmd_gibbs(args) -> tuple[int, dict]:
                                             rows=rows)}
     for order in orders:
         files[f"curve_n{order}.csv"] = functools.partial(
-            write_csv, header=["x", "value"], rows=zip(xs, _sample_curve(model, order, xs)))
+            write_csv, header=["x", "value"], rows=zip(xs, fourier_partial_sum(model, order, xs)))
     files["gibbs.json"] = functools.partial(_write_json, payload={
         "wave": args.wave,
-        "jump": probe.jump,
-        "target_overshoot": probe.jump * GIBBS_CONSTANT,
+        "jump": model.jump,
+        "target_overshoot": model.jump * GIBBS_CONSTANT,
         "rows": [{"order": n, "overshoot": o, "target": t} for n, o, t in rows],
     })
     return 0, files
@@ -363,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
                              default=f.default)
     p_train.add_argument("--ablation", action="store_true",
                          help="train matched arms with and without attention")
-    p_train.add_argument("--out", type=Path, default=Path("fecam_out"))
     p_train.set_defaults(func=cmd_train)
 
     p_gibbs = sub.add_parser("gibbs", help="overshoot sweep for a jump discontinuity")
@@ -372,29 +355,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_gibbs.add_argument("--wave", choices=("square", "pulse"), default="square")
     p_gibbs.add_argument("--amplitude", type=float, default=1.0)
     p_gibbs.add_argument("--curve-points", type=int, default=512)
-    p_gibbs.add_argument("--out", type=Path, default=Path("fecam_out"))
     p_gibbs.set_defaults(func=cmd_gibbs)
 
     p_comp = sub.add_parser("compaction", help="truncated reconstruction error table")
     p_comp.add_argument("--signal", choices=("fixture", "ramp"), default="fixture")
     p_comp.add_argument("--length", type=int, default=16)
     p_comp.add_argument("--components", default="5,10,15")
-    p_comp.add_argument("--out", type=Path, default=Path("fecam_out"))
     p_comp.set_defaults(func=cmd_compaction)
 
     p_att = sub.add_parser("attention", help="export a checkpoint's attention heatmap")
     p_att.add_argument("--checkpoint", type=Path, required=True)
     _add_data_flags(p_att)
-    p_att.add_argument("--out", type=Path, default=Path("fecam_out"))
     p_att.set_defaults(func=cmd_attention)
 
     p_thm = sub.add_parser("theorems", help="randomized verification of the transform identities")
     p_thm.add_argument("--trials", type=int, default=1000)
     p_thm.add_argument("--max-len", type=int, default=512)
     p_thm.add_argument("--seed", type=int, default=0)
-    p_thm.add_argument("--out", type=Path, default=Path("fecam_out"))
     p_thm.set_defaults(func=cmd_theorems)
 
+    for p_cmd in sub.choices.values():
+        p_cmd.add_argument("--out", type=Path, default=Path("fecam_out"))
     return parser
 
 

@@ -244,12 +244,15 @@ def _parse_stamp_column(lines: list[str], ts_index: int) -> list | None:
 
 def _csv_rows(fh, path: Path):
     """csv.reader's rows; its errors, such as a cell past csv.field_size_limit(),
-    become ValueErrors that name the line."""
+    become ValueErrors that name the line. A decoding error names only the file:
+    the decoder counts byte positions from its current chunk, not the file."""
     reader = csv.reader(fh)
     try:
         yield from reader
     except csv.Error as exc:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason}); save it as UTF-8") from None
 
 
 def _read_validating(path: Path, date_column: str | int, fill_policy: str) -> RawSeries:

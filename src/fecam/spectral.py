@@ -1,5 +1,5 @@
 """Spectral kernels: DCT-II/III, DFT, symmetric extension, Fourier partial
-sums, Gibbs overshoot probes and truncated reconstructions.
+sums, the Gibbs overshoot at a wave's jump, and truncated reconstructions.
 
 The cosine transform is an O(L^2) product with a cached basis matrix, built
 once per (length, normalization); its inverse applies the same matrix
@@ -10,7 +10,7 @@ safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -55,16 +55,20 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class FourierSeriesModel:
-    """Truncated real Fourier series on one period.
+    """Truncated real Fourier series on one period of a wave that jumps at x = 0.
 
     Evaluates 0.5*a0 + sum_n a_n cos(2 pi n x / period) + b_n sin(2 pi n x / period)
     for n up to ``max_order`` (the common length of ``cos_coeffs``/``sin_coeffs``).
+    ``left_limit`` and ``right_limit`` are the wave's limits just before and
+    just after x = 0.
     """
 
     period: float
     a0: float
     cos_coeffs: np.ndarray
     sin_coeffs: np.ndarray
+    left_limit: float
+    right_limit: float
 
     def __post_init__(self):
         if self.period <= 0:
@@ -77,15 +81,6 @@ class FourierSeriesModel:
     @property
     def max_order(self) -> int:
         return self.cos_coeffs.size
-
-
-@dataclass(frozen=True)
-class JumpProbe:
-    """One-sided limits of a periodic function at a jump location."""
-
-    location: float
-    left_limit: float
-    right_limit: float
 
     @property
     def jump(self) -> float:
@@ -180,20 +175,23 @@ def dct_via_even_dft(x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Fourier partial sums and the Gibbs probe
+# Fourier partial sums and the Gibbs overshoot
 # ---------------------------------------------------------------------------
 
 def fourier_partial_sum(model: FourierSeriesModel, order: int, x):
-    """Evaluate the order-N partial sum of the series at x (scalar or array)."""
+    """Evaluate the order-N partial sum of the series at x (scalar or array),
+    256 points at a time so that the (points x order) angle workspace stays bounded."""
     if order < 0 or order > model.max_order:
         raise ValueError(f"order {order} outside [0, {model.max_order}]")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     total = np.full(x_arr.shape, 0.5 * model.a0)
     if order > 0:
         n = np.arange(1, order + 1)
-        angles = 2 * np.pi * np.outer(x_arr, n) / model.period
-        total = total + np.cos(angles) @ model.cos_coeffs[:order]
-        total = total + np.sin(angles) @ model.sin_coeffs[:order]
+        for start in range(0, x_arr.size, 256):
+            block = slice(start, start + 256)
+            angles = 2 * np.pi * np.outer(x_arr[block], n) / model.period
+            total[block] += np.cos(angles) @ model.cos_coeffs[:order]
+            total[block] += np.sin(angles) @ model.sin_coeffs[:order]
     return total if np.ndim(x) else float(total[0])
 
 
@@ -205,12 +203,8 @@ def square_wave_series(amplitude: float = 1.0, max_order: int = 10_000) -> Fouri
     n = np.arange(1, max_order + 1)
     sin_c = np.where(n % 2 == 1, 4 * amplitude / (np.pi * n), 0.0)
     return FourierSeriesModel(period=2 * np.pi, a0=0.0,
-                              cos_coeffs=np.zeros(max_order), sin_coeffs=sin_c)
-
-
-def square_wave_probe(amplitude: float = 1.0) -> JumpProbe:
-    """Jump of the square wave at x=0: left limit -A, right limit +A."""
-    return JumpProbe(location=0.0, left_limit=-amplitude, right_limit=amplitude)
+                              cos_coeffs=np.zeros(max_order), sin_coeffs=sin_c,
+                              left_limit=-amplitude, right_limit=amplitude)
 
 
 def pulse_wave_series(amplitude: float = 1.0, max_order: int = 10_000) -> FourierSeriesModel:
@@ -225,33 +219,27 @@ def pulse_wave_series(amplitude: float = 1.0, max_order: int = 10_000) -> Fourie
     cos_c = amplitude * np.sin(2 * np.pi * n * duty) / (np.pi * n)
     sin_c = amplitude * (1 - np.cos(2 * np.pi * n * duty)) / (np.pi * n)
     return FourierSeriesModel(period=1.0, a0=2 * amplitude * duty,
-                              cos_coeffs=cos_c, sin_coeffs=sin_c)
+                              cos_coeffs=cos_c, sin_coeffs=sin_c,
+                              left_limit=0.0, right_limit=amplitude)
 
 
-def pulse_wave_probe(amplitude: float = 1.0) -> JumpProbe:
-    """Jump of the pulse at x=0: left limit 0, right limit A."""
-    return JumpProbe(location=0.0, left_limit=0.0, right_limit=amplitude)
-
-
-def gibbs_overshoot(model: FourierSeriesModel, probe: JumpProbe, order: int) -> float:
-    """Overshoot S_N f(x0 + period/(2N)) - f(x0+) of the order-N partial sum.
+def gibbs_overshoot(model: FourierSeriesModel, order: int) -> float:
+    """Overshoot S_N f(period/(2N)) - f(0+) of the order-N partial sum.
 
     For a jump of size a this converges to a * GIBBS_CONSTANT; the sign of
     the limit follows the sign of the jump.
     """
-    if probe.jump == 0:
-        raise ValueError("probe has zero jump; overshoot is undefined")
+    if model.jump == 0:
+        raise ValueError("wave has zero jump; overshoot is undefined")
     if order < 1:
         raise ValueError("order must be >= 1")
-    at = probe.location + model.period / (2 * order)
-    return fourier_partial_sum(model, order, at) - probe.right_limit
+    return fourier_partial_sum(model, order, model.period / (2 * order)) - model.right_limit
 
 
-def gibbs_sweep(model: FourierSeriesModel, probe: JumpProbe,
-                orders) -> list[tuple[int, float, float]]:
-    """Overshoot per order next to the probe's jump; rows (N, overshoot, target)."""
-    target = probe.jump * GIBBS_CONSTANT
-    return [(int(n), gibbs_overshoot(model, probe, int(n)), target) for n in orders]
+def gibbs_sweep(model: FourierSeriesModel, orders) -> list[tuple[int, float, float]]:
+    """Overshoot per order next to the wave's jump; rows (N, overshoot, target)."""
+    target = model.jump * GIBBS_CONSTANT
+    return [(int(n), gibbs_overshoot(model, int(n)), target) for n in orders]
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from fecam.spectral import (
     edge_error,
     gibbs_overshoot,
     low_frequency_signal,
-    square_wave_probe,
     square_wave_series,
     truncated_reconstructions,
 )
@@ -72,9 +71,8 @@ def test_01_lowest_dct_coefficient_equals_scaled_mean_for_1000_signals():
 def test_02_gibbs_overshoot_constant_within_half_percent_and_monotone():
     start = time.perf_counter()
     model = square_wave_series(amplitude=1.0, max_order=10_000)
-    probe = square_wave_probe(1.0)
-    target = probe.jump * GIBBS_CONSTANT
-    overshoots = {n: gibbs_overshoot(model, probe, n) for n in (100, 1000, 10_000)}
+    target = model.jump * GIBBS_CONSTANT
+    overshoots = {n: gibbs_overshoot(model, n) for n in (100, 1000, 10_000)}
     final_rel = abs(overshoots[10_000] - target) / target
     errors = [abs(overshoots[n] - target) for n in (100, 1000, 10_000)]
     elapsed = time.perf_counter() - start

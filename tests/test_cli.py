@@ -126,6 +126,25 @@ def test_cell_past_the_csv_field_limit_exits_2(data_csv, tmp_path, capsys, comma
     assert "line 2: field larger than field limit" in err
 
 
+@pytest.mark.parametrize("command", ["train", "attention"])
+@pytest.mark.parametrize("where", ["latin1_header", "past_first_chunk"])
+def test_csv_that_is_not_utf8_names_its_file(data_csv, tmp_path, capsys, command, where):
+    data = data_csv.read_bytes()
+    if where == "latin1_header":
+        data = data.replace(b"time,", b"caf\xe9,", 1)
+    else:
+        # Past the decoder's first 8 KiB chunk, from whose start it counts positions.
+        at = data.index(b"\n", 9000) + 1
+        data = data[:at] + b"\xe9" + data[at:]
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(data)
+    argv = [command, "--data", str(path)]
+    if command == "attention":
+        argv += ["--checkpoint", str(make_checkpoint(tmp_path))]
+    err = assert_input_error(argv, tmp_path / "x", capsys)
+    assert f"{path}: not UTF-8 text" in err and "position" not in err
+
+
 @pytest.mark.parametrize("row", [4, 300, 390], ids=["train", "validation", "test"])
 def test_huge_finite_cell_is_an_input_error(data_csv, tmp_path, capsys, row):
     # 1e308 is finite, but its square is not: in the training slice it

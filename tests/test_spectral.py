@@ -15,7 +15,6 @@ from fecam.spectral import (
     ORTHO,
     UNNORMALIZED,
     FourierSeriesModel,
-    JumpProbe,
     Spectrum,
     dct_forward,
     dct_inverse,
@@ -28,9 +27,7 @@ from fecam.spectral import (
     gibbs_overshoot,
     gibbs_sweep,
     low_frequency_signal,
-    pulse_wave_probe,
     pulse_wave_series,
-    square_wave_probe,
     square_wave_series,
     symmetric_extension,
     truncated_reconstructions,
@@ -282,59 +279,67 @@ def test_order_above_max_rejected():
         fourier_partial_sum(model, 6, 0.1)
 
 
+def test_partial_sum_is_chunked_without_changing_a_bit():
+    # 600 points are two full 256-point chunks plus a ragged tail; the chunks
+    # must add the same terms in the same order as one (points x order) product.
+    for model in (square_wave_series(max_order=40), pulse_wave_series(2.5, max_order=40)):
+        x = np.linspace(-0.3, 1.7, 600) * model.period
+        for order in (0, 1, 37):
+            outer = 2 * np.pi * np.outer(x, np.arange(1, order + 1)) / model.period
+            reference = (0.5 * model.a0 + np.cos(outer) @ model.cos_coeffs[:order]
+                         + np.sin(outer) @ model.sin_coeffs[:order])
+            assert fourier_partial_sum(model, order, x).tobytes() == reference.tobytes()
+            value = fourier_partial_sum(model, order, x[300])
+            assert type(value) is float
+            assert value == fourier_partial_sum(model, order, x[300:301])[0]
+
+
 def test_partial_sum_converges_to_jump_midpoint():
     # At the jump the partial sum tends to the average of the one-sided
     # limits; the asymmetric pulse makes this nontrivial at finite order.
     model = pulse_wave_series(max_order=10_000)
-    probe = pulse_wave_probe()
-    midpoint = 0.5 * (probe.left_limit + probe.right_limit)
-    assert fourier_partial_sum(model, 10_000, probe.location) == pytest.approx(
-        midpoint, abs=1e-3)
+    midpoint = 0.5 * (model.left_limit + model.right_limit)
+    assert fourier_partial_sum(model, 10_000, 0.0) == pytest.approx(midpoint, abs=1e-3)
 
 
 # --- Gibbs overshoot ----------------------------------------------------------
 
 def test_overshoot_converges_to_constant():
-    model = square_wave_series(amplitude=1.0, max_order=10_000)
-    probe = square_wave_probe(1.0)  # jump a = 2
-    target = probe.jump * spectral.GIBBS_CONSTANT
-    overshoot = gibbs_overshoot(model, probe, 10_000)
+    model = square_wave_series(amplitude=1.0, max_order=10_000)  # jump a = 2
+    target = model.jump * spectral.GIBBS_CONSTANT
+    overshoot = gibbs_overshoot(model, 10_000)
     assert overshoot == pytest.approx(0.17897974780550063, abs=1e-12)  # frozen
     assert abs(overshoot - target) / target < 0.005
 
 
 def test_overshoot_errors_shrink_monotonically():
     model = square_wave_series(amplitude=1.0, max_order=10_000)
-    probe = square_wave_probe(1.0)
-    target = probe.jump * spectral.GIBBS_CONSTANT
-    errs = [abs(gibbs_overshoot(model, probe, n) - target) for n in (100, 1000, 10_000)]
+    target = model.jump * spectral.GIBBS_CONSTANT
+    errs = [abs(gibbs_overshoot(model, n) - target) for n in (100, 1000, 10_000)]
     assert errs[0] > errs[1] > errs[2]
 
 
 def test_negative_jump_flips_overshoot_sign():
-    model = square_wave_series(amplitude=-1.0, max_order=10_000)
-    probe = square_wave_probe(-1.0)  # jump a = -2
-    overshoot = gibbs_overshoot(model, probe, 10_000)
+    model = square_wave_series(amplitude=-1.0, max_order=10_000)  # jump a = -2
+    overshoot = gibbs_overshoot(model, 10_000)
     assert overshoot == pytest.approx(-0.17897974780550063, abs=1e-12)
 
 
 def test_overshoot_is_linear_in_jump():
-    big = gibbs_overshoot(square_wave_series(2.0, max_order=4000),
-                          square_wave_probe(2.0), 4000)
-    small = gibbs_overshoot(square_wave_series(1.0, max_order=4000),
-                            square_wave_probe(1.0), 4000)
+    big = gibbs_overshoot(square_wave_series(2.0, max_order=4000), 4000)
+    small = gibbs_overshoot(square_wave_series(1.0, max_order=4000), 4000)
     assert big == pytest.approx(2 * small, rel=1e-9)
 
 
 def test_zero_jump_rejected():
-    model = square_wave_series(max_order=10)
+    model = square_wave_series(amplitude=0.0, max_order=10)
     with pytest.raises(ValueError):
-        gibbs_overshoot(model, JumpProbe(0.0, 1.0, 1.0), 10)
+        gibbs_overshoot(model, 10)
 
 
 def test_gibbs_sweep_rows():
     model = square_wave_series(amplitude=1.0, max_order=1000)
-    rows = gibbs_sweep(model, square_wave_probe(1.0), [10, 100, 1000])
+    rows = gibbs_sweep(model, [10, 100, 1000])
     assert [r[0] for r in rows] == [10, 100, 1000]
     assert all(r[2] == pytest.approx(2 * spectral.GIBBS_CONSTANT) for r in rows)
 
