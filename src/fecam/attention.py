@@ -31,9 +31,11 @@ from .spectral import ORTHO, dct_matrix
 def _check_input(x, block: Excitation) -> np.ndarray:
     """x as a finite, C-contiguous float64 (batch, channels, block.size) array.
 
-    Batches gathered from sliding-window views are strided along the length
-    axis; one copy here makes every later reshape to (batch*channels, length)
-    a view and every elementwise pass run over contiguous memory.
+    A batch gathered by index from the windows of a channel-major series is
+    already C-contiguous and comes back as it is. A sliced batch is strided
+    across windows; one copy here, which reads each window's contiguous
+    length axis, makes every later reshape to (batch*channels, length) a
+    view and every elementwise pass run over contiguous memory.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
@@ -67,6 +69,27 @@ class Excitation:
         self.excite2 = DenseLayer(hidden, size, rng)
 
 
+def _folded_weight(block: Excitation) -> np.ndarray:
+    """D^T W1: the cosine transform folded into the first excitation layer."""
+    return dct_matrix(block.size, ORTHO).T @ block.excite1.weight
+
+
+def _excite(rows: np.ndarray, block: Excitation, folded: np.ndarray,
+            hidden: np.ndarray | None = None,
+            att: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(ReLU activations, attention) of (rows, length) time-domain rows.
+
+    Both matmuls write into `hidden` and `att` when given, or into fresh
+    arrays; the ReLU and the sigmoid then overwrite them in place.
+    """
+    h1 = np.matmul(rows, folded, out=hidden)
+    h1 += block.excite1.bias
+    relu_forward(h1, out=h1)
+    att = np.matmul(h1, block.excite2.weight, out=att)
+    att += block.excite2.bias
+    return h1, sigmoid_forward(att, out=att)
+
+
 def fecam_forward(x, block: Excitation, cache: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Apply frequency attention; returns (rescaled x, attention map).
 
@@ -74,25 +97,49 @@ def fecam_forward(x, block: Excitation, cache: dict | None = None) -> tuple[np.n
     applied to the spectrum, (x D^T) W1, is computed as x (D^T W1): one
     matmul over all (batch, channel) rows. The folded weight is rebuilt on
     every call because optimizers and the gradient checker edit W1 in place.
-    The ReLU and the sigmoid overwrite the fresh pre-activations they are
-    given, so the attention map is the second matmul's own output array.
+    The attention map is the second matmul's own output array.
 
     Attention entries are sigmoid outputs, so the rescale never amplifies:
     |out| <= |x| elementwise. Pass a dict as `cache` to retain the
     activations fecam_backward needs.
     """
     x = _check_input(x, block)
-    folded = dct_matrix(block.size, ORTHO).T @ block.excite1.weight
-    z1 = x.reshape(-1, block.size) @ folded
-    z1 += block.excite1.bias
-    h1 = relu_forward(z1, out=z1)
-    z2 = h1 @ block.excite2.weight
-    z2 += block.excite2.bias
-    att = sigmoid_forward(z2, out=z2).reshape(x.shape)
+    folded = _folded_weight(block)
+    h1, att = _excite(x.reshape(-1, block.size), block, folded)
+    att = att.reshape(x.shape)
     out = x * att
     if cache is not None:
         cache.update(x=x, folded=folded, h1=h1, att=att)
     return out, att
+
+
+def mean_attention(windows, block: Excitation, batch_size: int) -> np.ndarray:
+    """fecam_forward's attention map averaged over every window, shape (C, L).
+
+    Bit for bit the sum of fecam_forward's attention over batches of
+    `batch_size` windows, divided by the window count, but formed in one
+    pass: the folded weight is built once, each batch is copied into one
+    reused input buffer and checked there, both matmuls write into reused
+    buffers, and the rescaled input x * att is never formed.
+    """
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim != 3 or len(windows) == 0:
+        raise ValueError(f"windows must have shape (n >= 1, channels, length), got {windows.shape}")
+    n_windows, channels, length = windows.shape
+    inputs = np.empty((min(batch_size, n_windows), channels, length))
+    rows = inputs.reshape(-1, length)
+    folded = _folded_weight(block)
+    hidden = np.empty((len(rows), folded.shape[1]))
+    att = np.empty_like(rows)
+    total = np.zeros((channels, length))
+    for start in range(0, n_windows, batch_size):
+        batch = windows[start:start + batch_size]
+        stop = len(batch) * channels
+        np.copyto(inputs[:len(batch)], batch)
+        _check_input(inputs[:len(batch)], block)  # contiguous already, so checked in place
+        batch_att = _excite(rows[:stop], block, folded, hidden[:stop], att[:stop])[1]
+        total += batch_att.reshape(batch.shape).sum(axis=0)
+    return total / n_windows
 
 
 def fecam_backward(upstream, block: Excitation, cache: dict, *,

@@ -15,8 +15,8 @@ UTF-8 and drop a leading byte-order mark, as Excel's "CSV UTF-8" writes.
 Timestamp order is checked once, when a RawSeries is made; from the split
 on, every stage takes and returns plain (rows, C) float64 arrays.
 The split slices are views of the series' observations, and windows are
-read-only views of a standardized slice, so windowing a T x C series costs
-O(T*C) memory, not O(N*C*(L+O)) for N windows.
+read-only views of a standardized, channel-major slice, so windowing a T x C
+series costs O(T*C) memory, not O(N*C*(L+O)) for N windows.
 """
 
 from __future__ import annotations
@@ -363,13 +363,20 @@ class Standardizer:
     std: np.ndarray
 
     def apply(self, observations: np.ndarray) -> np.ndarray:
-        """Standardize; a finite cell too large to standardize is a ValueError."""
+        """Standardize into a new Fortran-ordered (channel-major) array.
+
+        Each channel's rows are contiguous, so make_windows' views run along
+        memory and a batch gathered from them by index is already the
+        C-contiguous (batch, channel, length) array the attention layer
+        computes on. A finite cell too large to standardize is a ValueError.
+        """
         observations = np.asarray(observations, dtype=np.float64)
         if observations.shape[-1] != self.mean.shape[0]:
             raise ValueError(
                 f"{observations.shape[-1]} channels, standardizer has {self.mean.shape[0]}")
         with np.errstate(over="ignore"):
-            z = (observations - self.mean) / self.std
+            z = np.subtract(observations, self.mean, order="F")
+            z /= self.std
         _check_channels_finite(z, "standardized value")
         return z
 
@@ -427,7 +434,8 @@ def make_windows(observations: np.ndarray, lookback: int, horizon: int) -> Windo
     Each target window starts exactly where its input window ends, so there
     are T - L - O + 1 pairs. Inputs and targets are read-only views of the
     array, so no window is copied; indexing a batch out of them makes the
-    copy.
+    copy. On a channel-major array, as Standardizer.apply returns, every
+    window's length axis is contiguous and that copy comes out C-contiguous.
     """
     observations = np.asarray(observations)
     if lookback < 1 or horizon < 1:

@@ -12,6 +12,7 @@ weights, so the two can be trained as matched ablation arms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,15 +32,17 @@ from .nncore import (
 )
 
 
-# Windows per inference batch, for evaluate and `fecam attention`. Range of
-# the medians of three interleaved runs at C=7, L=O=96 (2 vCPUs, one OpenBLAS
-# thread):
+# Windows per inference batch, for evaluate, the persistence baseline and
+# `fecam attention`. Range of the medians of three interleaved runs at C=7,
+# L=O=96 (2 vCPUs, one OpenBLAS thread):
 #   batch                          32      64      128      256
 #   evaluate, 536 windows (ms)   8.3-10  7.7-10  10-12    15-17
-#   attention, 2,976 windows     23-28   22-26   22-28    50-56
 #   page faults per evaluate     0       0       546      2,404
+#   attention, 2,976 windows     15-16   14-15   15-21    17-23
 # A (256, 7, 96) float64 temporary is 1.3 MiB; glibc maps and unmaps arrays
-# that large per batch, so every batch faults its pages in afresh.
+# that large per batch, so every batch faults its pages in afresh. The
+# attention row was measured later, on attention.mean_attention, whose
+# buffers are allocated once per call.
 INFERENCE_BATCH = 64
 
 # A dense layer's parameters, in packing and checkpoint order.
@@ -250,23 +253,22 @@ def train(model: ForecastModel, train_ds: WindowedDataset, val_ds: WindowedDatas
     return model, history
 
 
-def evaluate(model: ForecastModel, ds: WindowedDataset) -> EvalReport:
-    """MSE/MAE over every (window, channel, step) element of the dataset.
+def _score(ds: WindowedDataset, predict) -> EvalReport:
+    """MSE/MAE of predict(inputs) against the targets, INFERENCE_BATCH windows at a time.
 
-    Runs the model over INFERENCE_BATCH windows at a time, whose temporaries
-    stay small enough to be reused rather than mapped afresh per batch.
-    Accumulates plain sums, so the result does not depend on that batch size
-    beyond rounding.
+    Each batch's temporaries stay small enough to be reused rather than
+    mapped afresh per batch. The error is formed in C order, so its sums run
+    row-major whatever the strides of the window views or of a broadcast
+    prediction. Plain sums accumulate across batches, so the result does not
+    depend on the batch size beyond rounding.
     """
-    _check_dataset(ds, model, "eval")
     sq_sum = 0.0
     abs_sum = 0.0
     count = 0
     step_sq = np.zeros(ds.horizon)
     for start in range(0, ds.n_windows, INFERENCE_BATCH):
         stop = start + INFERENCE_BATCH
-        pred = model_forward(model, ds.inputs[start:stop])
-        diff = pred - ds.targets[start:stop]
+        diff = np.subtract(predict(ds.inputs[start:stop]), ds.targets[start:stop], order="C")
         sq = diff * diff
         sq_sum += float(sq.sum())
         abs_sum += float(np.abs(diff).sum())
@@ -276,17 +278,20 @@ def evaluate(model: ForecastModel, ds: WindowedDataset) -> EvalReport:
     return EvalReport(mse=sq_sum / count, mae=abs_sum / count, step_mse=per_step)
 
 
+def evaluate(model: ForecastModel, ds: WindowedDataset) -> EvalReport:
+    """MSE/MAE over every (window, channel, step) element of the dataset."""
+    _check_dataset(ds, model, "eval")
+    return _score(ds, functools.partial(model_forward, model))
+
+
 def persistence_report(ds: WindowedDataset) -> EvalReport:
-    """Score the repeat-last-value baseline on the same metrics."""
+    """Score the repeat-last-value baseline on the same metrics.
+
+    The last input of each window broadcasts over the horizon.
+    """
     if ds.n_windows < 1:
         raise ValueError("dataset is empty")
-    # The last input broadcasts over the horizon. C order makes the sums below
-    # run row-major whatever the strides of the window views.
-    diff = np.subtract(ds.inputs[:, :, -1:], ds.targets, order="C")
-    sq = diff * diff
-    per_step = sq.sum(axis=(0, 1)) / (ds.n_windows * ds.channels)
-    return EvalReport(mse=float(np.mean(sq)), mae=float(np.mean(np.abs(diff))),
-                      step_mse=per_step)
+    return _score(ds, lambda inputs: inputs[:, :, -1:])
 
 
 def save_model(path, model: ForecastModel, extra_meta: dict | None = None) -> None:

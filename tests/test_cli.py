@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fecam import cli, forecaster, spectral
+from fecam import attention, cli, forecaster, spectral
 from fecam.data import (
     chronological_split,
     fit_standardizer,
@@ -558,15 +558,20 @@ def test_attention_runs_are_byte_identical(data_csv, tmp_path):
 
 
 def test_attention_failure_leaves_no_output_directory(data_csv, tmp_path, monkeypatch, capsys):
-    def explode(*_args, **_kwargs):
-        raise ValueError("x contains non-finite values")
+    # load_csv refuses non-finite cells, so the window is poisoned after it:
+    # the attention pass's own per-batch check must catch it.
+    def poisoned_windows(observations, lookback, horizon):
+        observations = observations.copy()
+        observations[0, 1] = np.nan
+        return make_windows(observations, lookback, horizon)
 
     ckpt = make_checkpoint(tmp_path)
-    monkeypatch.setattr(cli, "fecam_forward", explode)
+    monkeypatch.setattr(cli, "make_windows", poisoned_windows)
     out = tmp_path / "x"
     assert cli.main(["attention", "--checkpoint", str(ckpt), "--data", str(data_csv),
                      "--out", str(out)]) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -612,17 +617,17 @@ def test_streamed_attention_mean_matches_concatenated_mean(tmp_path, monkeypatch
         for t, row in zip(series.timestamps, series.observations)))
     ckpt = make_checkpoint(tmp_path)
     batches, written = [], []
-    forward, export = cli.fecam_forward, cli.export_attention
+    excite, export = attention._excite, cli.export_attention
 
-    def spy_forward(x, block):
-        batches.append(x.shape[0])
-        return forward(x, block)
+    def spy_excite(rows, *args):
+        batches.append(len(rows) // 3)  # three channels per window
+        return excite(rows, *args)
 
     def spy_export(mean_att, csv_path):
         written.append(mean_att.T)
         export(mean_att, csv_path)
 
-    monkeypatch.setattr(cli, "fecam_forward", spy_forward)
+    monkeypatch.setattr(attention, "_excite", spy_excite)
     monkeypatch.setattr(cli, "export_attention", spy_export)
     out = tmp_path / "att"
     assert cli.main(["attention", "--checkpoint", str(ckpt), "--data", str(path),
@@ -634,12 +639,12 @@ def test_streamed_attention_mean_matches_concatenated_mean(tmp_path, monkeypatch
     loaded = load_csv(path)
     splits = chronological_split(loaded, (1, 1, 2), min_slice_len=48)
     test_ds = make_windows(fit_standardizer(splits[0]).apply(splits[2]), 32, 16)
-    maps = [forward(test_ds.inputs[start:start + 64], model.fecam)[1]
+    maps = [attention.fecam_forward(test_ds.inputs[start:start + 64], model.fecam)[1]
             for start in range(0, test_ds.n_windows, 64)]
     reference = np.concatenate(maps, axis=0).mean(axis=0).T
     assert float(np.max(np.abs(written[0] - reference))) <= 1e-12
     # Chunking changes only rounding: the mean over one whole batch agrees too.
-    whole = forward(test_ds.inputs, model.fecam)[1].mean(axis=0).T
+    whole = attention.fecam_forward(test_ds.inputs, model.fecam)[1].mean(axis=0).T
     assert float(np.max(np.abs(written[0] - whole))) <= 1e-12
     rows = np.loadtxt(out / "attention.csv", delimiter=",", skiprows=1)
     np.testing.assert_allclose(rows, reference, rtol=1e-8)
@@ -831,6 +836,20 @@ def test_theorems_out_of_memory_exits_2_without_outputs(tmp_path, capsys, monkey
     assert captured.err.startswith("error: ") and "Unable to allocate" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("max_len", [4, 16, 64, 256])
+def test_theorems_orthogonality_error_keeps_the_bits_of_the_plain_expression(tmp_path, max_len):
+    # The check subtracts the identity from B B^T in place; x - 0.0 == x off
+    # the diagonal, so it reports the very number |B B^T - I| gives.
+    out = tmp_path / "thm"
+    assert cli.main(["theorems", "--trials", "1", "--max-len", str(max_len),
+                     "--out", str(out)]) == 0
+    check = json.loads((out / "theorems.json").read_text())["checks"][3]
+    plain = max(float(np.max(np.abs(basis @ basis.T - np.eye(length))))
+                for length in {4, 16, 64, max_len}
+                for basis in [spectral.dct_matrix(length, spectral.ORTHO)])
+    assert check["name"] == "orthogonality" and check["worst_error"] == plain
 
 
 def test_theorems_validates_arguments(tmp_path, capsys):

@@ -594,6 +594,16 @@ def test_transform_rejects_values_that_overflow_when_standardized():
         scaler.apply([[1.0, 1e308]])
 
 
+def test_transform_is_the_plain_formula_in_channel_major_memory():
+    rng = np.random.default_rng(5)
+    obs = rng.normal(3.0, 2.0, size=(50, 4))
+    scaler = fit_standardizer(obs[:30])
+    for part in (obs, obs[30:], obs[10:40:3], obs[7]):
+        scaled = scaler.apply(part)
+        assert scaled.tobytes() == ((part - scaler.mean) / scaler.std).tobytes()
+        assert scaled.flags.f_contiguous and not np.shares_memory(scaled, obs)
+
+
 def test_transform_channel_count_checked():
     scaler = Standardizer(np.zeros(3), np.ones(3))
     with pytest.raises(ValueError):
@@ -653,6 +663,26 @@ def test_windowing_an_etth2_sized_series_allocates_no_windows():
         tracemalloc.stop()
     assert ds.n_windows == 17_420 - 96 - 96 + 1
     assert peak < 2**20
+
+
+def test_standardized_windows_are_channel_major_and_gather_contiguously():
+    # The tiny_pipeline data of the forecaster tests: scaler fitted on the
+    # train slice, applied to each split.
+    series = synth_series("sinusoid_mix", 400, 3, noise_std=0.1, seed=0)
+    splits = chronological_split(series, (7, 2, 2), min_slice_len=24)
+    scaler = fit_standardizer(splits[0])
+    idx = np.random.default_rng(2).permutation(49)[:32]  # val and test have 49 windows
+    for split in splits:
+        scaled = scaler.apply(split)
+        assert scaled.flags.f_contiguous
+        ds = make_windows(scaled, 16, 8)
+        want = make_windows(np.ascontiguousarray(scaled), 16, 8)
+        assert ds.inputs.tobytes() == want.inputs.tobytes()
+        assert ds.targets.tobytes() == want.targets.tobytes()
+        for windows in (ds.inputs, ds.targets):
+            assert windows[idx].flags.c_contiguous
+            # Each window's length axis is contiguous in the series' memory.
+            assert windows.strides[2] == windows.itemsize
 
 
 def test_too_short_series_rejected():

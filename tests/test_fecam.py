@@ -9,10 +9,13 @@ import pytest
 
 from fecam.attention import (
     Excitation,
+    _check_input,
     export_attention,
     fecam_backward,
     fecam_forward,
+    mean_attention,
 )
+from fecam.data import Standardizer, make_windows
 from fecam.forecaster import ForecastModel, load_model, save_model
 from fecam.nncore import dense_backward, dense_forward, mse_loss, relu_backward, relu_forward
 from fecam.spectral import ORTHO, UNNORMALIZED, dct_forward, dct_matrix
@@ -279,6 +282,71 @@ def test_forward_and_backward_hold_few_batch_sized_arrays():
             tracemalloc.stop()
     assert (peaks[0] < 3.0 * x.nbytes and peaks[1] < 2.75 * x.nbytes
             and peaks[2] < 2.25 * x.nbytes), [p / x.nbytes for p in peaks]
+
+
+def channel_major_windows(n_windows, channels, length, seed):
+    """n_windows input windows over a channel-major series, as the product makes them."""
+    rows = np.random.default_rng(seed).normal(size=(n_windows + length, channels))
+    scaler = Standardizer(rows.mean(axis=0), rows.std(axis=0))
+    return make_windows(scaler.apply(rows), length, 1).inputs
+
+
+def perturbed_layer(length, seed):
+    rng = np.random.default_rng(seed)
+    layer = Excitation(length, rng=rng)
+    for value, _ in param_pairs(layer.excite1, layer.excite2):
+        value += rng.normal(scale=0.3, size=value.shape)
+    return layer
+
+
+def test_gathered_batch_enters_the_layer_without_a_copy():
+    windows = channel_major_windows(200, 3, 16, seed=81)
+    batch = windows[np.random.default_rng(82).permutation(200)[:32]]
+    assert np.shares_memory(_check_input(batch, Excitation(16)), batch)
+    sliced = windows[5:37]
+    assert not np.shares_memory(_check_input(sliced, Excitation(16)), sliced)
+
+
+@pytest.mark.parametrize("n_windows", [1, 63, 64, 65, 200])
+def test_mean_attention_is_the_batched_sum_of_forward_maps(n_windows):
+    windows = channel_major_windows(n_windows, 3, 16, seed=n_windows)
+    layer = perturbed_layer(16, seed=83)
+    total = np.zeros((3, 16))
+    for start in range(0, n_windows, 64):
+        total += fecam_forward(windows[start:start + 64], layer)[1].sum(axis=0)
+    assert mean_attention(windows, layer, 64).tobytes() == (total / n_windows).tobytes()
+
+
+def test_mean_attention_checks_every_batch():
+    layer = Excitation(16)
+    windows = np.array(channel_major_windows(200, 3, 16, seed=84))
+    windows[130, 2, 7] = np.nan  # in the third batch of 64
+    with pytest.raises(ValueError, match="non-finite"):
+        mean_attention(windows, layer, 64)
+    with pytest.raises(ValueError, match="block expects 16"):
+        mean_attention(np.ones((5, 3, 12)), layer, 64)
+    for bad in (np.ones((5, 16)), np.ones((0, 3, 16))):
+        with pytest.raises(ValueError, match="n >= 1, channels, length"):
+            mean_attention(bad, layer, 64)
+
+
+def test_mean_attention_holds_one_batch_of_buffers():
+    # Input copy, hidden activations and attention are 2.5 batch-sized arrays
+    # whatever the window count; the finiteness mask and the folded weight
+    # add about 0.3. A loop over fecam_forward peaks at 3.6: it also forms
+    # the rescaled input x * att.
+    windows = channel_major_windows(2_000, 7, 96, seed=85)
+    layer = perturbed_layer(96, seed=86)
+    batch_bytes = 64 * 7 * 96 * 8
+    dct_matrix(96, ORTHO)  # the cached basis is not the pass's own
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        mean_attention(windows, layer, 64)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * batch_bytes, peak / batch_bytes
 
 
 # --- state round trip -----------------------------------------------------------------

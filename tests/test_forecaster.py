@@ -252,8 +252,14 @@ def test_backward_on_window_views_equals_contiguous_copies(with_fecam):
     train_ds, _, test_ds = tiny_pipeline(lookback=16, horizon=8, channels=3)
     model = build_model(TrainConfig(lookback=16, horizon=8, seed=4), with_fecam=with_fecam)
     idx = np.random.default_rng(2).permutation(train_ds.n_windows)[:32]
-    batches = ((test_ds.inputs[5:37], test_ds.targets[5:37]),
-               (train_ds.inputs[idx], train_ds.targets[idx]))
+    # The same training windows over a row-major copy of the standardized split.
+    series = synth_series("sinusoid_mix", 400, 3, noise_std=0.1, seed=0)
+    train_rows = chronological_split(series, (7, 2, 2), min_slice_len=24)[0]
+    row_major = make_windows(np.ascontiguousarray(fit_standardizer(train_rows).apply(train_rows)),
+                             16, 8)
+    strided = ((test_ds.inputs[5:37], test_ds.targets[5:37]),
+               (row_major.inputs[idx], row_major.targets[idx]))
+    gathered = (train_ds.inputs[idx], train_ds.targets[idx])
 
     def step(x, y):
         model.zero_grad()
@@ -269,10 +275,14 @@ def test_backward_on_window_views_equals_contiguous_copies(with_fecam):
             assert layer_cache["x"].flags.c_contiguous
         return results
 
-    for x, y in batches:
+    for x, y in strided:
         assert not x.flags.c_contiguous
         for got, want in zip(step(x, y), step(np.ascontiguousarray(x), y), strict=True):
             assert got.tobytes() == want.tobytes()
+    # The product's channel-major windows gather straight into the layer's layout.
+    assert gathered[0].flags.c_contiguous and gathered[1].flags.c_contiguous
+    for got, want in zip(step(*gathered), step(*strided[1]), strict=True):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("with_fecam", [True, False], ids=["fecam", "plain"])
@@ -379,14 +389,31 @@ def test_adam_step_on_the_flat_vector_allocates_no_arrays():
     assert peak - before < 1024
 
 
-def test_persistence_report_matches_the_materialized_prediction():
+def test_persistence_report_matches_the_materialized_prediction(monkeypatch):
+    # Scored INFERENCE_BATCH windows at a time, so its sums are chunked and
+    # may differ from the one-shot formula in their last bits.
     _, _, test_ds = tiny_pipeline(channels=3)
     diff = np.repeat(test_ds.inputs[:, :, -1:], test_ds.horizon, axis=2) - test_ds.targets
-    report = persistence_report(test_ds)
-    assert report.mse == float(np.mean(diff * diff))
-    assert report.mae == float(np.mean(np.abs(diff)))
     per_step = (diff * diff).sum(axis=(0, 1)) / (test_ds.n_windows * test_ds.channels)
-    assert report.step_mse.tobytes() == per_step.tobytes()
+    for batch_size in (7, 64):
+        monkeypatch.setattr(forecaster, "INFERENCE_BATCH", batch_size)
+        report = persistence_report(test_ds)
+        assert report.mse == pytest.approx(float(np.mean(diff * diff)), rel=1e-12, abs=0)
+        assert report.mae == pytest.approx(float(np.mean(np.abs(diff))), rel=1e-12, abs=0)
+        np.testing.assert_allclose(report.step_mse, per_step, rtol=1e-12, atol=0)
+
+
+def test_persistence_report_scores_through_evaluate_accumulation(monkeypatch):
+    # A model that predicts the last input is scored bit for bit like the baseline.
+    monkeypatch.setattr(forecaster, "INFERENCE_BATCH", 7)
+    _, _, test_ds = tiny_pipeline(channels=3)
+    model = build_model(TrainConfig(lookback=16, horizon=8), with_fecam=False)
+    model.projection.weight[:] = 0.0
+    model.projection.weight[-1, :] = 1.0
+    model.projection.bias[:] = 0.0
+    got, want = persistence_report(test_ds), evaluate(model, test_ds)
+    assert (got.mse, got.mae) == (want.mse, want.mae)
+    assert got.step_mse.tobytes() == want.step_mse.tobytes()
 
 
 def test_persistence_baseline_scores():
