@@ -74,18 +74,15 @@ def _folded_weight(block: Excitation) -> np.ndarray:
     return dct_matrix(block.size, ORTHO).T @ block.excite1.weight
 
 
-def _excite(rows: np.ndarray, block: Excitation, folded: np.ndarray,
-            hidden: np.ndarray | None = None,
-            att: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _excite(rows: np.ndarray, block: Excitation, folded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(ReLU activations, attention) of (rows, length) time-domain rows.
 
-    Both matmuls write into `hidden` and `att` when given, or into fresh
-    arrays; the ReLU and the sigmoid then overwrite them in place.
+    The ReLU and the sigmoid overwrite the matmuls' fresh outputs in place.
     """
-    h1 = np.matmul(rows, folded, out=hidden)
+    h1 = rows @ folded
     h1 += block.excite1.bias
     relu_forward(h1, out=h1)
-    att = np.matmul(h1, block.excite2.weight, out=att)
+    att = h1 @ block.excite2.weight
     att += block.excite2.bias
     return h1, sigmoid_forward(att, out=att)
 
@@ -117,29 +114,20 @@ def mean_attention(windows, block: Excitation, batch_size: int) -> np.ndarray:
     """fecam_forward's attention map averaged over every window, shape (C, L).
 
     Bit for bit the sum of fecam_forward's attention over batches of
-    `batch_size` windows, divided by the window count, but formed in one
-    pass: the folded weight is built once, each batch is copied into one
-    reused input buffer and checked there, both matmuls write into reused
-    buffers, and the rescaled input x * att is never formed.
+    `batch_size` windows, divided by the window count, and checked batch by
+    batch as fecam_forward checks its input. The folded weight is built once
+    per call rather than once per batch, and the rescaled input x * att,
+    which the map does not need, is never formed.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3 or len(windows) == 0:
         raise ValueError(f"windows must have shape (n >= 1, channels, length), got {windows.shape}")
-    n_windows, channels, length = windows.shape
-    inputs = np.empty((min(batch_size, n_windows), channels, length))
-    rows = inputs.reshape(-1, length)
     folded = _folded_weight(block)
-    hidden = np.empty((len(rows), folded.shape[1]))
-    att = np.empty_like(rows)
-    total = np.zeros((channels, length))
-    for start in range(0, n_windows, batch_size):
-        batch = windows[start:start + batch_size]
-        stop = len(batch) * channels
-        np.copyto(inputs[:len(batch)], batch)
-        _check_input(inputs[:len(batch)], block)  # contiguous already, so checked in place
-        batch_att = _excite(rows[:stop], block, folded, hidden[:stop], att[:stop])[1]
-        total += batch_att.reshape(batch.shape).sum(axis=0)
-    return total / n_windows
+    total = np.zeros(windows.shape[1:])
+    for start in range(0, len(windows), batch_size):
+        x = _check_input(windows[start:start + batch_size], block)
+        total += _excite(x.reshape(-1, block.size), block, folded)[1].reshape(x.shape).sum(axis=0)
+    return total / len(windows)
 
 
 def fecam_backward(upstream, block: Excitation, cache: dict, *,

@@ -33,16 +33,15 @@ from .nncore import (
 
 
 # Windows per inference batch, for evaluate, the persistence baseline and
-# `fecam attention`. Range of the medians of three interleaved runs at C=7,
+# `fecam attention`. Chunks bound inference memory to one batch's
+# temporaries: scoring the persistence baseline in chunks rather than whole
+# took the benchmark's train_c7_l96 peak RSS (`fecam train`, 4,000x7 rows,
+# L=O=96) from 61.3 to 56.1 MiB. Range of two runs' medians over seven
+# interleaved rounds, on windows built from the benchmark's CSVs, at C=7,
 # L=O=96 (2 vCPUs, one OpenBLAS thread):
-#   batch                          32      64      128      256
-#   evaluate, 536 windows (ms)   8.3-10  7.7-10  10-12    15-17
-#   page faults per evaluate     0       0       546      2,404
-#   attention, 2,976 windows     15-16   14-15   15-21    17-23
-# A (256, 7, 96) float64 temporary is 1.3 MiB; glibc maps and unmaps arrays
-# that large per batch, so every batch faults its pages in afresh. The
-# attention row was measured later, on attention.mean_attention, whose
-# buffers are allocated once per call.
+#   batch                          32       64       128      256
+#   evaluate, 536 windows (ms)   6.0-6.3  6.1-6.9  7.2-7.8  12-16
+#   attention, 2,976 windows     15-17    16-18    16-17    19-26
 INFERENCE_BATCH = 64
 
 # A dense layer's parameters, in packing and checkpoint order.
@@ -256,11 +255,11 @@ def train(model: ForecastModel, train_ds: WindowedDataset, val_ds: WindowedDatas
 def _score(ds: WindowedDataset, predict) -> EvalReport:
     """MSE/MAE of predict(inputs) against the targets, INFERENCE_BATCH windows at a time.
 
-    Each batch's temporaries stay small enough to be reused rather than
-    mapped afresh per batch. The error is formed in C order, so its sums run
-    row-major whatever the strides of the window views or of a broadcast
-    prediction. Plain sums accumulate across batches, so the result does not
-    depend on the batch size beyond rounding.
+    Memory is one batch's temporaries, not N×C×O arrays for N windows. The
+    error is formed in C order, so its sums run row-major whatever the
+    strides of the window views or of a broadcast prediction. Plain sums
+    accumulate across batches, so the result does not depend on the batch
+    size beyond rounding.
     """
     sq_sum = 0.0
     abs_sum = 0.0

@@ -229,9 +229,14 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     match the shape (checked before decoding, so a huge shape allocates
     nothing), data that is not strict base64, and arrays holding NaN or
     infinity, naming the array. Version-1 files, which stored decimal
-    lists, are refused. The arrays returned are writable float64.
+    lists, are refused. A file that is not UTF-8 JSON, or nests deeper than
+    the parser's recursion limit, raises ValueError naming the file. The
+    arrays returned are writable float64.
     """
-    payload = json.loads(Path(path).read_text())
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
+        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     if payload.get("version") != CHECKPOINT_VERSION:

@@ -40,15 +40,18 @@ def clean_env(monkeypatch):
     monkeypatch.delenv("FECAM_OUT", raising=False)
 
 
+def write_series_csv(series, path):
+    """series as a CSV with a numeric time column and six decimals per cell; returns path."""
+    path.write_text("time," + ",".join(series.channel_names) + "\n" + "".join(
+        f"{t}," + ",".join(f"{v:.6f}" for v in row) + "\n"
+        for t, row in zip(series.timestamps, series.observations)))
+    return path
+
+
 @pytest.fixture(scope="module")
 def data_csv(tmp_path_factory):
     series = synth_series("sinusoid_mix", 400, 3, noise_std=0.1, seed=4)
-    path = tmp_path_factory.mktemp("data") / "synth.csv"
-    lines = ["time," + ",".join(series.channel_names)]
-    for t, row in zip(series.timestamps, series.observations):
-        lines.append(f"{t}," + ",".join(f"{v:.6f}" for v in row))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return write_series_csv(series, tmp_path_factory.mktemp("data") / "synth.csv")
 
 
 def run_train(data_csv, out, *extra):
@@ -250,6 +253,23 @@ def test_channel_flag_equals_a_file_of_that_channel_alone(data_csv, tmp_path):
     metrics = [json.loads((out / "metrics.json").read_text()) for out in (flag, file)]
     for key in ("mse", "mae", "step_mse"):
         assert metrics[0][key] == metrics[1][key]
+
+
+def test_train_at_a_long_lookback_beats_persistence_and_reloads(tmp_path):
+    # Every other train test runs at L <= 96; here the lookback is 336, as in
+    # the paper's long-input settings, with 69 test windows.
+    path = write_series_csv(synth_series("sinusoid_mix", 2000, 3, noise_std=0.1),
+                            tmp_path / "long.csv")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--data", str(path), "--lookback", "336", "--horizon", "96",
+                     "--split", "2:1:1", "--lr", "1e-3", "--epochs", "3", "--seed", "0",
+                     "--out", str(out)]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["mse"] < metrics["persistence_mse"]
+    model, _ = load_model(out / "model.json")
+    splits = chronological_split(load_csv(path), (2, 1, 1), min_slice_len=336 + 96)
+    test_ds = make_windows(fit_standardizer(splits[0]).apply(splits[2]), 336, 96)
+    assert forecaster.evaluate(model, test_ds).mse == pytest.approx(metrics["mse"], rel=1e-12)
 
 
 def test_train_ablation_writes_both_arms(data_csv, tmp_path):
@@ -599,6 +619,18 @@ def test_attention_checkpoint_that_is_a_directory_exits_2(data_csv, tmp_path, ca
     assert_input_error(argv, tmp_path / "x", capsys)
 
 
+@pytest.mark.parametrize("broken", ["nested_past_recursion_limit", "utf16"])
+def test_attention_checkpoint_that_cannot_be_parsed_names_its_file(data_csv, tmp_path, capsys,
+                                                                    broken):
+    ckpt = make_checkpoint(tmp_path)
+    if broken == "utf16":
+        ckpt.write_text(ckpt.read_text(), encoding="utf-16")
+    else:
+        ckpt.write_text("[" * 200_000)
+    argv = ["attention", "--checkpoint", str(ckpt), "--data", str(data_csv)]
+    assert str(ckpt) in assert_input_error(argv, tmp_path / "x", capsys)
+
+
 def test_attention_rejects_too_short_data(tmp_path):
     ckpt = make_checkpoint(tmp_path)
     short = tmp_path / "short.csv"
@@ -610,11 +642,8 @@ def test_attention_rejects_too_short_data(tmp_path):
 def test_streamed_attention_mean_matches_concatenated_mean(tmp_path, monkeypatch):
     # 1,400 rows split 1:1:2 leave 700 test rows: 653 windows of 32 + 16, so
     # ten batches of 64 and one of 13.
-    series = synth_series("sinusoid_mix", 1400, 3, noise_std=0.1, seed=8)
-    path = tmp_path / "long.csv"
-    path.write_text("time," + ",".join(series.channel_names) + "\n" + "".join(
-        f"{t}," + ",".join(f"{v:.6f}" for v in row) + "\n"
-        for t, row in zip(series.timestamps, series.observations)))
+    path = write_series_csv(synth_series("sinusoid_mix", 1400, 3, noise_std=0.1, seed=8),
+                            tmp_path / "long.csv")
     ckpt = make_checkpoint(tmp_path)
     batches, written = [], []
     excite, export = attention._excite, cli.export_attention

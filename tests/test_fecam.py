@@ -317,6 +317,22 @@ def test_mean_attention_is_the_batched_sum_of_forward_maps(n_windows):
     assert mean_attention(windows, layer, 64).tobytes() == (total / n_windows).tobytes()
 
 
+def test_mean_attention_matches_an_independent_reference():
+    # 200 windows are three batches of 64 and one of 8. The reference shares
+    # no code with the layer: its own cosine basis, the spectrum by einsum,
+    # both dense layers and the logistic function written out.
+    windows = channel_major_windows(200, 7, 96, seed=87)
+    layer = perturbed_layer(96, seed=88)
+    k = np.arange(96)
+    basis = np.sqrt(2 / 96) * np.cos(np.pi * np.outer(k, k + 0.5) / 96)
+    basis[0] /= np.sqrt(2)
+    spectrum = np.einsum("kn,wcn->wck", basis, windows)
+    hidden = np.maximum(spectrum @ layer.excite1.weight + layer.excite1.bias, 0.0)
+    att = 1.0 / (1.0 + np.exp(-(hidden @ layer.excite2.weight + layer.excite2.bias)))
+    error = np.abs(mean_attention(windows, layer, 64) - att.mean(axis=0))
+    assert float(error.max()) <= 1e-12, error.max()
+
+
 def test_mean_attention_checks_every_batch():
     layer = Excitation(16)
     windows = np.array(channel_major_windows(200, 3, 16, seed=84))

@@ -3,10 +3,12 @@
 A public function or class of a `fecam` module that nothing in `src/` or
 `bench/` refers to is reached only by tests; such helpers live under
 `tests/` (`grad_check.py`, `synth_series.py`, `param_pairs.py`). A module
-reads no other object's private (underscore) names.
+reads no other object's private (underscore) names. Every span the
+benchmark's per-layer metrics read is a public function the tracer wraps.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,35 @@ def test_no_module_reaches_into_another_objects_private_names(module):
             reached += [f"line {node.lineno}: import {alias.name}"
                         for alias in node.names if private(alias.name)]
     assert reached == [], f"fecam.{module} reaches private names: {reached}"
+
+
+# Deleted from the package; its bench metrics read 0 until the benchmark drops them.
+STALE_SPANS = ["attention.frequency_map"]
+
+
+def bench_spans():
+    """The spans bench/run.py's SELF_METRICS and CALL_METRICS name, read from its syntax tree."""
+    spans = set()
+    for node in SOURCES[ROOT / "bench" / "run.py"].body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) in ("SELF_METRICS", "CALL_METRICS")):
+            for value in ast.literal_eval(node.value).values():
+                spans.update([value] if isinstance(value, str) else value)
+    return spans
+
+
+def test_every_bench_span_names_a_public_function():
+    # The tracer wraps each public function of a fecam module under the span
+    # "<module>.<function>", and a span that never opens reads 0, so a
+    # renamed or deleted function would silently zero its per-layer metric.
+    spans = bench_spans()
+    assert spans, "bench/run.py's SELF_METRICS and CALL_METRICS were not found"
+    missing = []
+    for span in sorted(spans):
+        module, name = span.split(".")
+        obj = getattr(importlib.import_module(f"fecam.{module}"), name, None)
+        # The tracer's own test: public, callable, not a class, defined in that module.
+        if (name.startswith("_") or not callable(obj) or isinstance(obj, type)
+                or obj.__module__ != f"fecam.{module}"):
+            missing.append(span)
+    assert missing == STALE_SPANS
