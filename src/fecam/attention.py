@@ -27,6 +27,18 @@ from .nncore import (
 )
 from .spectral import ORTHO, dct_matrix
 
+# Windows per inference batch, for `fecam attention`, evaluate and the
+# persistence baseline. Chunks bound inference memory to one batch's
+# temporaries: scoring the persistence baseline in chunks rather than whole
+# took the benchmark's train_c7_l96 peak RSS (`fecam train`, 4,000x7 rows,
+# L=O=96) from 61.3 to 56.1 MiB. Range of two runs' medians over seven
+# interleaved rounds, on windows built from the benchmark's CSVs, at C=7,
+# L=O=96 (2 vCPUs, one OpenBLAS thread):
+#   batch                          32       64       128      256
+#   evaluate, 536 windows (ms)   6.0-6.3  6.1-6.9  7.2-7.8  12-16
+#   attention, 2,976 windows     15-17    16-18    16-17    19-26
+INFERENCE_BATCH = 64
+
 
 def _check_input(x, block: Excitation) -> np.ndarray:
     """x as a finite, C-contiguous float64 (batch, channels, block.size) array.
@@ -110,11 +122,11 @@ def fecam_forward(x, block: Excitation, cache: dict | None = None) -> tuple[np.n
     return out, att
 
 
-def mean_attention(windows, block: Excitation, batch_size: int) -> np.ndarray:
+def mean_attention(windows, block: Excitation) -> np.ndarray:
     """fecam_forward's attention map averaged over every window, shape (C, L).
 
     Bit for bit the sum of fecam_forward's attention over batches of
-    `batch_size` windows, divided by the window count, and checked batch by
+    INFERENCE_BATCH windows, divided by the window count, and checked batch by
     batch as fecam_forward checks its input. The folded weight is built once
     per call rather than once per batch, and the rescaled input x * att,
     which the map does not need, is never formed.
@@ -124,8 +136,8 @@ def mean_attention(windows, block: Excitation, batch_size: int) -> np.ndarray:
         raise ValueError(f"windows must have shape (n >= 1, channels, length), got {windows.shape}")
     folded = _folded_weight(block)
     total = np.zeros(windows.shape[1:])
-    for start in range(0, len(windows), batch_size):
-        x = _check_input(windows[start:start + batch_size], block)
+    for start in range(0, len(windows), INFERENCE_BATCH):
+        x = _check_input(windows[start:start + INFERENCE_BATCH], block)
         total += _excite(x.reshape(-1, block.size), block, folded)[1].reshape(x.shape).sum(axis=0)
     return total / len(windows)
 

@@ -43,7 +43,6 @@ from .data import (
     write_csv,
 )
 from .forecaster import (
-    INFERENCE_BATCH,
     DivergenceError,
     TrainConfig,
     build_model,
@@ -119,9 +118,10 @@ def _write_manifest(out_dir: Path, args, argv: list[str]) -> None:
 def _select_channel(series: RawSeries, channel: str | None) -> RawSeries:
     if channel is None:
         return series
-    if channel not in series.channel_names:
-        raise ValueError(
-            f"no channel named {channel!r}; file has {series.channel_names}")
+    matches = series.channel_names.count(channel)
+    if matches != 1:
+        raise ValueError(f"{matches or 'no'} channels named {channel!r}; "
+                         f"file has {series.channel_names}")
     idx = series.channel_names.index(channel)
     return dataclasses.replace(series, observations=series.observations[:, idx:idx + 1],
                                channel_names=[channel])
@@ -180,7 +180,7 @@ def cmd_train(args) -> tuple[int, dict]:
         files[f"loss_history{suffix}.csv"] = functools.partial(
             write_csv, header=["epoch", "train_loss", "val_loss"], rows=history)
         files[f"model{suffix}.json"] = functools.partial(
-            save_model, model=model, extra_meta={"dataset": Path(args.data).name})
+            save_model, model=model, meta={"dataset": Path(args.data).name})
     if args.ablation:
         fecam_mse, plain_mse = test_mse["fecam"], test_mse["plain"]
         files["ablation.json"] = functools.partial(_write_json, payload={
@@ -251,7 +251,7 @@ def cmd_attention(args) -> tuple[int, dict]:
         raise ValueError("checkpoint has no attention layer (trained with --ablation plain arm?)")
     _, _, (_, _, test_ds) = _prepared_windows(args, model.lookback, model.horizon)
 
-    mean_att = mean_attention(test_ds.inputs, model.fecam, INFERENCE_BATCH)
+    mean_att = mean_attention(test_ds.inputs, model.fecam)
     return 0, {"attention.csv": functools.partial(export_attention, mean_att)}
 
 

@@ -108,10 +108,10 @@ def _columns(header: list[str], date_column: str | int) -> tuple[int, list[str]]
         if not 0 <= ts_index < len(header):
             raise ValueError(f"timestamp column index {ts_index} out of range")
     else:
-        try:
-            ts_index = header.index(date_column)
-        except ValueError:
-            raise ValueError(f"no column named {date_column!r} in header") from None
+        matches = header.count(date_column)
+        if matches != 1:
+            raise ValueError(f"{matches or 'no'} columns named {date_column!r} in header")
+        ts_index = header.index(date_column)
     return ts_index, [h for i, h in enumerate(header) if i != ts_index]
 
 
@@ -416,8 +416,6 @@ class WindowedDataset:
 
     inputs: np.ndarray
     targets: np.ndarray
-    lookback: int
-    horizon: int
 
     @property
     def n_windows(self) -> int:
@@ -426,6 +424,14 @@ class WindowedDataset:
     @property
     def channels(self) -> int:
         return self.inputs.shape[1]
+
+    @property
+    def lookback(self) -> int:
+        return self.inputs.shape[2]
+
+    @property
+    def horizon(self) -> int:
+        return self.targets.shape[2]
 
 
 def make_windows(observations: np.ndarray, lookback: int, horizon: int) -> WindowedDataset:
@@ -446,7 +452,7 @@ def make_windows(observations: np.ndarray, lookback: int, horizon: int) -> Windo
             f"series of length {t} too short for lookback {lookback} + horizon {horizon}")
     inputs = sliding_window_view(observations, lookback, axis=0)[:t - lookback - horizon + 1]
     targets = sliding_window_view(observations[lookback:], horizon, axis=0)
-    return WindowedDataset(inputs, targets, lookback, horizon)
+    return WindowedDataset(inputs, targets)
 
 
 def series_summary(series: RawSeries, splits) -> dict:

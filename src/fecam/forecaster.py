@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import Excitation, fecam_backward, fecam_forward
+from .attention import INFERENCE_BATCH, Excitation, fecam_backward, fecam_forward
 from .data import WindowedDataset
 from .nncore import (
     AdamState,
@@ -31,18 +31,6 @@ from .nncore import (
     save_checkpoint,
 )
 
-
-# Windows per inference batch, for evaluate, the persistence baseline and
-# `fecam attention`. Chunks bound inference memory to one batch's
-# temporaries: scoring the persistence baseline in chunks rather than whole
-# took the benchmark's train_c7_l96 peak RSS (`fecam train`, 4,000x7 rows,
-# L=O=96) from 61.3 to 56.1 MiB. Range of two runs' medians over seven
-# interleaved rounds, on windows built from the benchmark's CSVs, at C=7,
-# L=O=96 (2 vCPUs, one OpenBLAS thread):
-#   batch                          32       64       128      256
-#   evaluate, 536 windows (ms)   6.0-6.3  6.1-6.9  7.2-7.8  12-16
-#   attention, 2,976 windows     15-17    16-18    16-17    19-26
-INFERENCE_BATCH = 64
 
 # A dense layer's parameters, in packing and checkpoint order.
 _PARAMETER_NAMES = ("weight", "bias")
@@ -116,7 +104,6 @@ class ForecastModel:
                  with_fecam: bool = True, seed: int = 0):
         self.lookback = lookback
         self.horizon = horizon
-        self.reduction = reduction
         self.projection = DenseLayer(lookback, horizon, np.random.default_rng([seed, 0]))
         self.fecam = (Excitation(lookback, reduction, np.random.default_rng([seed, 1]))
                       if with_fecam else None)
@@ -293,47 +280,41 @@ def persistence_report(ds: WindowedDataset) -> EvalReport:
     return _score(ds, lambda inputs: inputs[:, :, -1:])
 
 
-def save_model(path, model: ForecastModel, extra_meta: dict | None = None) -> None:
-    meta = {
-        "lookback": model.lookback,
-        "horizon": model.horizon,
-        "reduction": model.reduction,
-        "with_fecam": model.fecam is not None,
-    }
-    meta.update(extra_meta or {})
+def save_model(path, model: ForecastModel, meta: dict | None = None) -> None:
+    """Write the model's arrays and the caller's meta; every size lives in the arrays."""
     save_checkpoint(path, model.state_arrays(), meta)
 
 
-def _check_array(arrays: dict[str, np.ndarray], name: str, shape: tuple) -> None:
+def _array(arrays: dict[str, np.ndarray], name: str) -> np.ndarray:
     if name not in arrays:
         raise ValueError(f"checkpoint missing array {name!r}")
-    if arrays[name].shape != shape:
-        raise ValueError(f"{name}: checkpoint shape {arrays[name].shape} != model shape {shape}")
+    return arrays[name]
 
 
 def load_model(path) -> tuple[ForecastModel, dict]:
-    """Rebuild a model from a checkpoint; returns (model, checkpoint meta)."""
+    """Rebuild a model from a checkpoint; returns (model, checkpoint meta), meta unread.
+
+    Sizes come from arrays the file holds, checked before any weight is drawn,
+    so they bound every allocation: L and O from projection.weight (L x O), the
+    attention layer from any fecam.* array, r from fecam.excite1.weight (L x L/r).
+    """
     arrays, meta = load_checkpoint(path)
-    for key in ("lookback", "horizon", "reduction", "with_fecam"):
-        if key not in meta:
-            raise ValueError(f"checkpoint meta missing {key!r}")
-    sizes = [meta[key] for key in ("lookback", "horizon", "reduction")]
-    if not all(type(v) is int and v >= 1 for v in sizes):
-        raise ValueError("checkpoint meta lookback, horizon and reduction must be integers "
-                         f">= 1, got {sizes}")
-    if type(meta["with_fecam"]) is not bool:
-        raise ValueError(
-            f"checkpoint meta with_fecam must be true or false, got {meta['with_fecam']!r}")
-    lookback, horizon, reduction = sizes
-    # The largest arrays are checked against the meta before any weight is
-    # drawn, so every allocation is bounded by arrays the file actually holds.
-    expected = {"projection.weight": (lookback, horizon)}
-    if meta["with_fecam"]:
-        expected["fecam.excite1.weight"] = (lookback, lookback // reduction)
-    for name, shape in expected.items():
-        _check_array(arrays, name, shape)
-    model = ForecastModel(*sizes, with_fecam=meta["with_fecam"])
+    shape = _array(arrays, "projection.weight").shape
+    if len(shape) != 2:
+        raise ValueError(f"projection.weight: checkpoint shape {shape} is not (lookback, horizon)")
+    lookback, horizon = shape
+    with_fecam = any(name.startswith("fecam.") for name in arrays)
+    reduction = 1
+    if with_fecam:
+        shape = _array(arrays, "fecam.excite1.weight").shape
+        if len(shape) != 2 or shape[0] != lookback or shape[1] == 0 or lookback % shape[1]:
+            raise ValueError(f"fecam.excite1.weight: checkpoint shape {shape} is not "
+                             f"(lookback {lookback}, a divisor of {lookback})")
+        reduction = lookback // shape[1]
+    model = ForecastModel(lookback, horizon, reduction, with_fecam=with_fecam)
     for name, target in model.state_arrays().items():
-        _check_array(arrays, name, target.shape)
+        if _array(arrays, name).shape != target.shape:
+            raise ValueError(
+                f"{name}: checkpoint shape {arrays[name].shape} != model shape {target.shape}")
         target[:] = arrays[name]
     return model, meta

@@ -156,10 +156,10 @@ class AdamState:
     """Optimizer state; moment and scratch buffers are allocated lazily on the first step."""
 
     learning_rate: float = 1e-4
-    step: int = 0
-    first_moment: list[np.ndarray] = field(default_factory=list)
-    second_moment: list[np.ndarray] = field(default_factory=list)
-    scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    step: int = field(default=0, init=False)
+    first_moment: list[np.ndarray] = field(default_factory=list, init=False)
+    second_moment: list[np.ndarray] = field(default_factory=list, init=False)
+    scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, init=False)
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> list[np.ndarray]:

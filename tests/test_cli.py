@@ -255,6 +255,22 @@ def test_channel_flag_equals_a_file_of_that_channel_alone(data_csv, tmp_path):
         assert metrics[0][key] == metrics[1][key]
 
 
+@pytest.mark.parametrize("header, flag, message, names", [
+    ("time,a,a,b", ["--channel", "a"], "2 channels named 'a'", ["a", "a", "b"]),
+    ("time,a,time,b", ["--date-column", "time"], "2 columns named 'time' in header",
+     ["a", "time", "b"]),
+], ids=["channel", "date-column"])
+def test_flag_naming_a_repeated_column_exits_2(data_csv, tmp_path, capsys, header, flag, message,
+                                              names):
+    path = tmp_path / "repeated.csv"
+    path.write_text(header + "\n" + data_csv.read_text().split("\n", 1)[1])
+    argv = ["train", "--data", str(path), "--lookback", "32", "--horizon", "16", "--epochs", "1"]
+    assert message in assert_input_error([*argv, *flag], tmp_path / "x", capsys)
+    # A file with a repeated name still loads when no flag names it.
+    assert cli.main([*argv, "--out", str(tmp_path / "all")]) == 0
+    assert json.loads((tmp_path / "all" / "dataset.json").read_text())["channel_names"] == names
+
+
 def test_train_at_a_long_lookback_beats_persistence_and_reloads(tmp_path):
     # Every other train test runs at L <= 96; here the lookback is 336, as in
     # the paper's long-input settings, with 69 test windows.
@@ -281,8 +297,9 @@ def test_train_ablation_writes_both_arms(data_csv, tmp_path):
     expected = (plain_m["mse"] - fecam_m["mse"]) / plain_m["mse"] * 100.0
     assert summary["mse_reduction_pct"] == pytest.approx(expected, rel=1e-12)
     for arm, with_fecam in (("fecam", True), ("plain", False)):
-        _, meta = load_model(out / f"model_{arm}.json")
-        assert meta["with_fecam"] is with_fecam
+        model, meta = load_model(out / f"model_{arm}.json")
+        assert (model.fecam is not None) is with_fecam
+        assert meta == {"dataset": "synth.csv"}
     assert (out / "loss_history_fecam.csv").exists()
     for arm, metrics in (("fecam", fecam_m), ("plain", plain_m)):
         assert metrics["arm"] == arm
@@ -757,13 +774,14 @@ BIAS = ("arrays", "projection.bias")
     ((*BIAS, "shape"), [-16], "need a list 'shape'"),
     ((*BIAS, "shape"), [16.0], "need a list 'shape'"),
     ((*BIAS, "shape"), [2 ** 70], "does not match shape"),
-    (("meta", "lookback"), [32], "meta lookback, horizon and reduction must be integers"),
-    (("meta", "lookback"), 32.9, "meta lookback, horizon and reduction must be integers"),
-    (("meta", "reduction"), 0, "meta lookback, horizon and reduction must be integers"),
-    (("meta", "with_fecam"), 0.5, "with_fecam must be true or false, got 0.5"),
-    (("meta", "with_fecam"), "false", "with_fecam must be true or false, got 'false'"),
-    (("meta", "lookback"), 4000, "projection.weight: checkpoint shape (32, 16) != model shape"),
-    (("meta", "reduction"), 1, "fecam.excite1.weight: checkpoint shape (32, 16) != model shape"),
+    (("arrays", "projection.weight", "shape"), [512],
+     "projection.weight: checkpoint shape (512,) is not (lookback, horizon)"),
+    (("arrays", "fecam.excite1.weight", "shape"), [16, 32],
+     "fecam.excite1.weight: checkpoint shape (16, 32) is not (lookback 32, a divisor of 32)"),
+    (("arrays", "fecam.excite1.weight"), {"shape": [32, 12], "data": b64(np.zeros(384))},
+     "fecam.excite1.weight: checkpoint shape (32, 12) is not (lookback 32, a divisor of 32)"),
+    (("arrays",), lambda arrays: {k: v for k, v in arrays.items() if "excite1" not in k},
+     "missing array 'fecam.excite1.weight'"),
     (("arrays",), {}, "checkpoint missing array 'projection.weight'"),
     (("arrays", "fecam.excite1.weight"), DROP, "missing array 'fecam.excite1.weight'"),
     (("version",), 1, f"unsupported checkpoint version 1: this fecam reads version "
@@ -771,15 +789,33 @@ BIAS = ("arrays", "projection.bias")
     *[((*BIAS, "data"), edit, message) for edit, message in DATA_EDITS.values()],
 ], ids=["top-level-list", "no-arrays", "arrays-list", "meta-list", "entry-list",
         "no-data", "data-string", "data-objects", "no-shape", "shape-int", "shape-negative",
-        "shape-float", "shape-huge", "meta-lookback-list", "meta-lookback-float",
-        "meta-reduction-zero", "meta-with-fecam-float", "meta-with-fecam-string",
-        "meta-lookback-large", "meta-reduction-mismatch", "arrays-empty", "no-excite1",
+        "shape-float", "shape-huge", "projection-1d", "excite1-rows-not-lookback",
+        "excite1-columns-not-divisor", "excite2-without-excite1", "arrays-empty", "no-excite1",
         "version-1", *DATA_EDITS])
 def test_attention_malformed_checkpoint_exits_2(data_csv, tmp_path, capsys, keys, value, message):
     ckpt = make_checkpoint(tmp_path)
     ckpt.write_text(json.dumps(edited(json.loads(ckpt.read_text()), keys, value)))
     argv = ["attention", "--checkpoint", str(ckpt), "--data", str(data_csv)]
     assert message in assert_input_error(argv, tmp_path / "x", capsys)
+
+
+# Structural meta keys set to wrong or malformed values; sizes come from the arrays.
+@pytest.mark.parametrize("key, value", [
+    ("lookback", [32]), ("lookback", 32.9), ("reduction", 0), ("with_fecam", 0.5),
+    ("with_fecam", "false"), ("lookback", 4000), ("reduction", 1),
+], ids=["meta-lookback-list", "meta-lookback-float", "meta-reduction-zero",
+        "meta-with-fecam-float", "meta-with-fecam-string", "meta-lookback-large",
+        "meta-reduction-mismatch"])
+def test_attention_reads_sizes_from_the_arrays_not_the_meta(data_csv, tmp_path, key, value):
+    ckpt = make_checkpoint(tmp_path)
+    argv = ["attention", "--checkpoint", str(ckpt), "--data", str(data_csv), "--out"]
+    assert cli.main([*argv, str(tmp_path / "pristine")]) == 0
+    payload = json.loads(ckpt.read_text())
+    payload["meta"] = {"lookback": 32, "horizon": 16, "reduction": 2, "with_fecam": True}
+    ckpt.write_text(json.dumps(edited(payload, ("meta", key), value)))
+    assert cli.main([*argv, str(tmp_path / "edited")]) == 0
+    assert ((tmp_path / "edited" / "attention.csv").read_bytes()
+            == (tmp_path / "pristine" / "attention.csv").read_bytes())
 
 
 def test_attention_checks_checkpoint_sizes_before_drawing_weights(data_csv, tmp_path, capsys):
@@ -988,6 +1024,8 @@ def test_fuzzed_flags_and_checkpoints_keep_the_failure_contract(data_csv, tmp_pa
         "theorems": ["theorems", "--trials", "5", "--max-len", "16"],
     }
     pristine = json.loads(make_checkpoint(tmp_path).read_text())
+    # The meta branch edits the structural keys earlier files carried; the loader reads none.
+    pristine["meta"] = {"lookback": 32, "horizon": 16, "reduction": 2, "with_fecam": True}
     rng = np.random.default_rng(20261018)
     codes = []
     for case in range(40):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fecam.attention import (
+    INFERENCE_BATCH,
     Excitation,
     _check_input,
     export_attention,
@@ -312,9 +313,10 @@ def test_mean_attention_is_the_batched_sum_of_forward_maps(n_windows):
     windows = channel_major_windows(n_windows, 3, 16, seed=n_windows)
     layer = perturbed_layer(16, seed=83)
     total = np.zeros((3, 16))
-    for start in range(0, n_windows, 64):
-        total += fecam_forward(windows[start:start + 64], layer)[1].sum(axis=0)
-    assert mean_attention(windows, layer, 64).tobytes() == (total / n_windows).tobytes()
+    assert INFERENCE_BATCH == 64
+    for start in range(0, n_windows, INFERENCE_BATCH):
+        total += fecam_forward(windows[start:start + INFERENCE_BATCH], layer)[1].sum(axis=0)
+    assert mean_attention(windows, layer).tobytes() == (total / n_windows).tobytes()
 
 
 def test_mean_attention_matches_an_independent_reference():
@@ -329,7 +331,7 @@ def test_mean_attention_matches_an_independent_reference():
     spectrum = np.einsum("kn,wcn->wck", basis, windows)
     hidden = np.maximum(spectrum @ layer.excite1.weight + layer.excite1.bias, 0.0)
     att = 1.0 / (1.0 + np.exp(-(hidden @ layer.excite2.weight + layer.excite2.bias)))
-    error = np.abs(mean_attention(windows, layer, 64) - att.mean(axis=0))
+    error = np.abs(mean_attention(windows, layer) - att.mean(axis=0))
     assert float(error.max()) <= 1e-12, error.max()
 
 
@@ -338,12 +340,12 @@ def test_mean_attention_checks_every_batch():
     windows = np.array(channel_major_windows(200, 3, 16, seed=84))
     windows[130, 2, 7] = np.nan  # in the third batch of 64
     with pytest.raises(ValueError, match="non-finite"):
-        mean_attention(windows, layer, 64)
+        mean_attention(windows, layer)
     with pytest.raises(ValueError, match="block expects 16"):
-        mean_attention(np.ones((5, 3, 12)), layer, 64)
+        mean_attention(np.ones((5, 3, 12)), layer)
     for bad in (np.ones((5, 16)), np.ones((0, 3, 16))):
         with pytest.raises(ValueError, match="n >= 1, channels, length"):
-            mean_attention(bad, layer, 64)
+            mean_attention(bad, layer)
 
 
 def test_mean_attention_holds_one_batch_of_buffers():
@@ -358,7 +360,7 @@ def test_mean_attention_holds_one_batch_of_buffers():
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        mean_attention(windows, layer, 64)
+        mean_attention(windows, layer)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

@@ -194,12 +194,23 @@ def test_dataset_window_shape_checked():
 def test_perfect_and_biased_predictors():
     model = identity_projection(ForecastModel(4, 4, with_fecam=False))
     x = np.random.default_rng(5).normal(size=(6, 2, 4))
-    perfect = WindowedDataset(x, x.copy(), 4, 4)
+    perfect = WindowedDataset(x, x.copy())
     report = evaluate(model, perfect)
     assert report.mse == 0.0 and report.mae == 0.0
-    shifted = WindowedDataset(x, x - 1.0, 4, 4)
+    shifted = WindowedDataset(x, x - 1.0)
     report = evaluate(model, shifted)
     assert report.mse == pytest.approx(1.0) and report.mae == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("inputs, targets", [((6, 2, 5), (6, 2, 4)), ((6, 2, 4), (6, 2, 3))],
+                         ids=["lookback", "horizon"])
+def test_evaluate_checks_the_window_arrays_against_the_model(inputs, targets):
+    # The dataset's lengths are its arrays' own, so these are what is checked.
+    model = ForecastModel(4, 4, with_fecam=False)
+    ds = WindowedDataset(np.zeros(inputs), np.zeros(targets))
+    with pytest.raises(ValueError, match=r"eval dataset windows \(\d, \d\) do not match "
+                                         r"model \(4, 4\)"):
+        evaluate(model, ds)
 
 
 def test_step_curve_shape_and_mean():
@@ -239,7 +250,7 @@ def test_window_views_and_contiguous_copies_give_identical_results(with_fecam, m
                 assert got.tobytes() == want.tobytes()
         assert model_forward(model, batch).tobytes() == model_forward(model, copy).tobytes()
     contiguous = WindowedDataset(np.ascontiguousarray(test_ds.inputs),
-                                 np.ascontiguousarray(test_ds.targets), 16, 8)
+                                 np.ascontiguousarray(test_ds.targets))
     for batch_size in (7, 256):
         monkeypatch.setattr(forecaster, "INFERENCE_BATCH", batch_size)
         got, want = evaluate(model, test_ds), evaluate(model, contiguous)
@@ -419,10 +430,10 @@ def test_persistence_report_scores_through_evaluate_accumulation(monkeypatch):
 def test_persistence_baseline_scores():
     x = np.random.default_rng(7).normal(size=(5, 3, 4))
     flat_targets = np.repeat(x[:, :, -1:], 2, axis=2)
-    ds = WindowedDataset(x, flat_targets, 4, 2)
+    ds = WindowedDataset(x, flat_targets)
     report = persistence_report(ds)
     assert report.mse == 0.0 and report.mae == 0.0
-    ds_off = WindowedDataset(x, flat_targets + 2.0, 4, 2)
+    ds_off = WindowedDataset(x, flat_targets + 2.0)
     assert persistence_report(ds_off).mse == pytest.approx(4.0)
 
 
@@ -457,10 +468,9 @@ def test_save_load_round_trip(tmp_path):
     cfg = TrainConfig(lookback=16, horizon=8, seed=13)
     model = build_model(cfg)
     path = tmp_path / "model.json"
-    save_model(path, model, extra_meta={"dataset": "synthetic"})
+    save_model(path, model, meta={"dataset": "synthetic"})
     loaded, meta = load_model(path)
-    assert meta["dataset"] == "synthetic"
-    assert meta["with_fecam"] is True
+    assert meta == {"dataset": "synthetic"}
     x = np.random.default_rng(17).normal(size=(2, 3, 16))
     np.testing.assert_array_equal(model_forward(model, x), model_forward(loaded, x))
 
@@ -483,16 +493,38 @@ def test_load_plain_model(tmp_path):
     path = tmp_path / "plain.json"
     save_model(path, model)
     loaded, meta = load_model(path)
-    assert loaded.fecam is None and meta["with_fecam"] is False
+    assert loaded.fecam is None and meta == {}
+
+
+@pytest.mark.parametrize("with_fecam", [True, False], ids=["fecam", "plain"])
+def test_checkpoint_with_the_older_structural_meta_loads_the_same_model(tmp_path, with_fecam):
+    # Earlier files also carry lookback, horizon, reduction and with_fecam in
+    # meta, always agreeing with the arrays; the loader reads only the arrays.
+    from fecam.nncore import save_checkpoint
+    model = ForecastModel(16, 8, reduction=4, with_fecam=with_fecam, seed=21)
+    model.values += np.random.default_rng(22).normal(size=model.values.shape)
+    meta = {"lookback": 16, "horizon": 8, "reduction": 4, "with_fecam": with_fecam,
+            "dataset": "synth.csv"}
+    path = tmp_path / "older.json"
+    save_checkpoint(path, model.state_arrays(), meta)
+    loaded, loaded_meta = load_model(path)
+    assert loaded_meta == meta
+    assert (loaded.fecam is None) is not with_fecam
+    assert list(loaded.state_arrays()) == list(model.state_arrays())
+    for name, array in model.state_arrays().items():
+        assert loaded.state_arrays()[name].tobytes() == array.tobytes(), name
+    x = np.random.default_rng(23).normal(size=(3, 2, 16))
+    assert model_forward(loaded, x).tobytes() == model_forward(model, x).tobytes()
 
 
 def test_load_rejects_incomplete_checkpoint(tmp_path):
     from fecam.nncore import save_checkpoint
     path = tmp_path / "bad.json"
-    save_checkpoint(path, {"projection.weight": np.zeros((8, 4))},
-                    {"lookback": 8, "horizon": 4, "reduction": 2, "with_fecam": False})
+    save_checkpoint(path, {"projection.weight": np.zeros((8, 4))})
     with pytest.raises(ValueError, match="projection.bias"):
         load_model(path)
-    save_checkpoint(path, {"projection.weight": np.zeros((8, 4))}, {"lookback": 8})
-    with pytest.raises(ValueError, match="horizon"):
+    arrays = ForecastModel(8, 4).state_arrays()
+    del arrays["fecam.excite2.weight"]
+    save_checkpoint(path, arrays)
+    with pytest.raises(ValueError, match="missing array 'fecam.excite2.weight'"):
         load_model(path)
