@@ -8,12 +8,11 @@ Everything stays in memory; input files are never mutated.
 A clean CSV (no quote, no lone CR, no ragged, blank, NaN or infinite cell,
 timestamps of one kind and strictly increasing) is read in one np.loadtxt
 call for the values and one pass over the timestamp column. Every other
-file goes through csv.reader and one numpy conversion of the stripped cells
-with Python's float() rules; that reader alone reports errors, and finds and
-forward-fills missing cells with array operations. Both readers decode
-UTF-8 and drop a leading byte-order mark, as Excel's "CSV UTF-8" writes.
-Timestamp order is checked once, when a RawSeries is made; from the split
-on, every stage takes and returns plain (rows, C) float64 arrays.
+file is read row by row through csv.reader, with Python's float() of each
+stripped cell; that reader alone reports errors, each at the first fault in
+file order, and forward-fills missing cells. Both readers decode UTF-8 and
+drop a leading byte-order mark, as Excel's "CSV UTF-8" writes. From the
+split on, every stage takes and returns plain (rows, C) float64 arrays.
 The split slices are views of the series' observations, and windows are
 read-only views of a standardized, channel-major slice, so windowing a T x C
 series costs O(T*C) memory, not O(N*C*(L+O)) for N windows.
@@ -22,6 +21,7 @@ series costs O(T*C) memory, not O(N*C*(L+O)) for N windows.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import repeat
@@ -50,7 +50,7 @@ class RawSeries:
             raise ValueError(f"{len(self.timestamps)} timestamps for {t} rows")
         if len(self.channel_names) != c:
             raise ValueError(f"{len(self.channel_names)} names for {c} channels")
-        # Only a failure of this cheap loop pays for _timestamp_fault's reason.
+        # Only a failure of this cheap loop pays for _order_fault's reason.
         try:
             for a, b in zip(self.timestamps, self.timestamps[1:]):
                 if not a < b:
@@ -59,8 +59,10 @@ class RawSeries:
                 return
         except TypeError:
             pass
-        index, reason = _timestamp_fault(self.timestamps)
-        raise ValueError(f"timestamp {index}: {reason}")
+        for index, (a, b) in enumerate(zip(self.timestamps, self.timestamps[1:]), start=1):
+            reason = _order_fault(a, b)
+            if reason is not None:
+                raise ValueError(f"timestamp {index}: {reason}")
 
     @property
     def length(self) -> int:
@@ -90,17 +92,6 @@ def _parse_timestamp(text: str, line_no: int):
     raise ValueError(f"line {line_no}: unparseable timestamp {text!r}")
 
 
-def _raise_unparseable(value_rows, line_numbers, channel_names) -> None:
-    """Name the first cell float() rejects; only runs once bulk parsing failed."""
-    for line_no, cells in zip(line_numbers, value_rows):
-        for name, cell in zip(channel_names, cells):
-            try:
-                float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"line {line_no}: unparseable value {cell!r} in column {name!r}") from None
-
-
 def _columns(header: list[str], date_column: str | int) -> tuple[int, list[str]]:
     """(timestamp column index, channel names in file order) for a stripped header."""
     if isinstance(date_column, int):
@@ -115,19 +106,14 @@ def _columns(header: list[str], date_column: str | int) -> tuple[int, list[str]]
     return ts_index, [h for i, h in enumerate(header) if i != ts_index]
 
 
-def _timestamp_fault(timestamps: list) -> tuple[int, str] | None:
-    """(index, reason) of the first timestamp that is not of its predecessor's
-    kind or not above it; None when the whole list is strictly increasing."""
-    for i, (a, b) in enumerate(zip(timestamps, timestamps[1:]), start=1):
-        if type(a) is not type(b):
-            return i, "timestamp type differs from previous rows"
-        try:
-            increasing = a < b
-        except TypeError:
-            return i, "timestamp mixes naive and offset-aware times with the previous row"
-        if not increasing:
-            return i, "timestamps not strictly increasing"
-    return None
+def _order_fault(a, b) -> str | None:
+    """Why timestamp b cannot follow a: not of a's kind or not above it; else None."""
+    if type(a) is not type(b):
+        return "timestamp type differs from previous rows"
+    try:
+        return None if a < b else "timestamps not strictly increasing"
+    except TypeError:
+        return "timestamp mixes naive and offset-aware times with the previous row"
 
 
 def load_csv(path, date_column: str | int = 0, fill_policy: str = "reject") -> RawSeries:
@@ -140,7 +126,7 @@ def load_csv(path, date_column: str | int = 0, fill_policy: str = "reject") -> R
     the previous row's value instead. Infinite cells are always rejected.
 
     A clean file is parsed column by column (see _read_clean), any other row
-    by row, to the same series; the timestamps' order is checked once.
+    by row (see _read_validating), to the same series.
     """
     if fill_policy not in FILL_POLICIES:
         raise ValueError(f"fill_policy must be one of {FILL_POLICIES}, got {fill_policy!r}")
@@ -256,7 +242,9 @@ def _csv_rows(fh, path: Path):
 
 
 def _read_validating(path: Path, date_column: str | int, fill_policy: str) -> RawSeries:
-    """csv.reader and float() of each stripped cell, for any file; every
+    """csv.reader and float() of each stripped cell, for any file. Each row is
+    checked as it is read: its cell count, its timestamp and that timestamp's
+    order after the previous one, then its cells from left to right; so every
     error names the line of the first fault."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = _csv_rows(fh, path)
@@ -270,47 +258,42 @@ def _read_validating(path: Path, date_column: str | int, fill_policy: str) -> Ra
         ts_index, channel_names = _columns(header, date_column)
 
         timestamps = []
-        value_rows = []
-        line_numbers = []
+        rows = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
-            timestamps.append(_parse_timestamp(row.pop(ts_index), line_no))
-            line_numbers.append(line_no)
-            value_rows.append(row)
+            stamp = _parse_timestamp(row.pop(ts_index), line_no)
+            reason = _order_fault(timestamps[-1], stamp) if timestamps else None
+            if reason is not None:
+                raise ValueError(f"line {line_no}: {reason}")
+            timestamps.append(stamp)
+            try:  # the usual row: all cells finite numbers, checked by one sum
+                values = [float(cell.strip()) for cell in row]
+            except ValueError:  # a blank or unparseable cell
+                values = [math.nan]
+            if not math.isfinite(sum(values)):  # a NaN or infinite cell, or the sum overflowed
+                values = []
+                for col, (name, cell) in enumerate(zip(channel_names, row)):
+                    cell = cell.strip()
+                    try:
+                        value = float(cell or "nan")
+                    except ValueError:
+                        raise ValueError(f"line {line_no}: unparseable value {cell!r} "
+                                         f"in column {name!r}") from None
+                    if math.isnan(value):
+                        if fill_policy == "reject" or not rows:
+                            raise ValueError(f"line {line_no}: missing value in column {name!r}")
+                        value = rows[-1][col]
+                    elif math.isinf(value):
+                        raise ValueError(f"line {line_no}: infinite value in column {name!r}")
+                    values.append(value)
+            rows.append(values)
 
-    if not value_rows:
+    if not rows:
         raise ValueError(f"{path}: no data rows")
-    # The conversion follows float(), which ignores surrounding whitespace, so
-    # only blank cells would make it fail on valid input; they are missing, like NaN.
-    value_rows = [[cell.strip() or "nan" for cell in row] for row in value_rows]
-    try:
-        observations = np.array(value_rows, dtype=np.float64)
-    except ValueError:
-        _raise_unparseable(value_rows, line_numbers, channel_names)
-        raise
-    missing = np.isnan(observations)
-    if missing.any():
-        row, col = np.argwhere(missing)[0]
-        if fill_policy == "reject" or row == 0:
-            raise ValueError(
-                f"line {line_numbers[row]}: missing value in column {channel_names[col]!r}")
-        # Each cell takes the value of the latest row at or above it that has one.
-        source = np.where(missing, 0, np.arange(len(observations))[:, None])
-        np.maximum.accumulate(source, axis=0, out=source)
-        observations = np.take_along_axis(observations, source, axis=0)
-    fault = _timestamp_fault(timestamps)
-    if fault is not None:
-        index, reason = fault
-        raise ValueError(f"line {line_numbers[index]}: {reason}")
-    infinite = np.isinf(observations)
-    if infinite.any():
-        row, col = np.argwhere(infinite)[0]
-        raise ValueError(
-            f"line {line_numbers[row]}: infinite value in column {channel_names[col]!r}")
-    return RawSeries(timestamps, observations, channel_names)
+    return RawSeries(timestamps, np.array(rows, dtype=np.float64), channel_names)
 
 
 def write_csv(path, header, rows) -> None:

@@ -168,9 +168,17 @@ def model_backward(model: ForecastModel, upstream, cache: dict) -> None:
         fecam_backward(d_feat, model.fecam, cache["fecam"], input_grad=False)
 
 
-def _check_dataset(ds: WindowedDataset, model: ForecastModel, name: str) -> None:
+def _check_windows(ds: WindowedDataset, name: str) -> None:
+    """At least one window, and one target window per input window and channel."""
     if ds.n_windows < 1:
         raise ValueError(f"{name} dataset is empty")
+    if ds.targets.shape[:2] != ds.inputs.shape[:2]:
+        raise ValueError(f"{name} dataset has (windows, channels) {ds.inputs.shape[:2]} in its "
+                         f"inputs but {ds.targets.shape[:2]} in its targets")
+
+
+def _check_dataset(ds: WindowedDataset, model: ForecastModel, name: str) -> None:
+    _check_windows(ds, name)
     if ds.lookback != model.lookback or ds.horizon != model.horizon:
         raise ValueError(
             f"{name} dataset windows ({ds.lookback}, {ds.horizon}) do not match "
@@ -275,8 +283,7 @@ def persistence_report(ds: WindowedDataset) -> EvalReport:
 
     The last input of each window broadcasts over the horizon.
     """
-    if ds.n_windows < 1:
-        raise ValueError("dataset is empty")
+    _check_windows(ds, "persistence")
     return _score(ds, lambda inputs: inputs[:, :, -1:])
 
 

@@ -25,6 +25,10 @@ ORTHO = "ortho"
 #: as a fraction of the jump size.
 GIBBS_CONSTANT = 0.089489872236
 
+#: Bytes that one (points x order) float64 temporary of fourier_partial_sum
+#: may take; blocks hold up to 256 points, fewer at orders above 16,384.
+PARTIAL_SUM_BLOCK_BYTES = 32 * 2**20
+
 
 def _as_signal(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -179,16 +183,18 @@ def dct_via_even_dft(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def fourier_partial_sum(model: FourierSeriesModel, order: int, x):
-    """Evaluate the order-N partial sum of the series at x (scalar or array),
-    256 points at a time so that the (points x order) angle workspace stays bounded."""
+    """Evaluate the order-N partial sum of the series at x (scalar or array), a
+    block of points at a time so that each (points x order) temporary stays
+    within PARTIAL_SUM_BLOCK_BYTES, or one point wide when one row exceeds it."""
     if order < 0 or order > model.max_order:
         raise ValueError(f"order {order} outside [0, {model.max_order}]")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     total = np.full(x_arr.shape, 0.5 * model.a0)
     if order > 0:
         n = np.arange(1, order + 1)
-        for start in range(0, x_arr.size, 256):
-            block = slice(start, start + 256)
+        points = min(256, max(1, PARTIAL_SUM_BLOCK_BYTES // (8 * order)))
+        for start in range(0, x_arr.size, points):
+            block = slice(start, start + points)
             angles = 2 * np.pi * np.outer(x_arr[block], n) / model.period
             total[block] += np.cos(angles) @ model.cos_coeffs[:order]
             total[block] += np.sin(angles) @ model.sin_coeffs[:order]

@@ -353,6 +353,30 @@ def test_fast_read_takes_only_clean_files_and_agrees_with_the_validating_reader(
         assert outcome == expected.format(path=path)
 
 
+# Files with two faults; each row is checked whole before the next is read,
+# so the error names the earlier line, whatever the kinds of the two faults.
+TWO_FAULT_CASES = [
+    ("infinite-then-ragged", "time,a\n0,inf\n1,2,3\n",
+     "line 2: infinite value in column 'a'"),
+    ("missing-then-unparseable", "time,a\n0,1\n1,\n2,x\n",
+     "line 3: missing value in column 'a'"),
+    ("infinite-then-not-increasing", "time,a\n0,1\n1,inf\n1,2\n",
+     "line 3: infinite value in column 'a'"),
+    ("unparseable-then-bad-stamp", "time,a\n0,x\nnoon,2\n",
+     "line 2: unparseable value 'x' in column 'a'"),
+    ("not-increasing-then-unparseable", 'time,a\n1,1\n0,2\n2,"q"\n',
+     "line 3: timestamps not strictly increasing"),
+]
+
+
+@pytest.mark.parametrize("text, expected", [case[1:] for case in TWO_FAULT_CASES],
+                         ids=[case[0] for case in TWO_FAULT_CASES])
+def test_the_first_fault_in_file_order_is_the_error(tmp_path, text, expected):
+    path = write(tmp_path, text)
+    with pytest.raises(ValueError, match=f"^{expected}$"):
+        load_csv(path)
+
+
 def test_byte_order_mark_stays_out_of_the_channel_names(tmp_path):
     # Excel's "CSV UTF-8" export starts the header with one; FAST_READ_CASES
     # shows both readers agree on such a file.

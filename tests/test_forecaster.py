@@ -213,6 +213,19 @@ def test_evaluate_checks_the_window_arrays_against_the_model(inputs, targets):
         evaluate(model, ds)
 
 
+@pytest.mark.parametrize("targets", [(6, 1, 4), (5, 2, 4)], ids=["channels", "windows"])
+@pytest.mark.parametrize("score", ["evaluate", "persistence"])
+def test_scoring_rejects_targets_that_do_not_pair_with_the_inputs(targets, score):
+    # Unpaired arrays used to broadcast into a score, or fail in numpy.
+    ds = WindowedDataset(np.zeros((6, 2, 4)), np.ones(targets))
+    with pytest.raises(ValueError, match=r"dataset has \(windows, channels\) \(6, 2\) in its "
+                                         r"inputs but \(\d, \d\) in its targets"):
+        if score == "evaluate":
+            evaluate(ForecastModel(4, 4, with_fecam=False), ds)
+        else:
+            persistence_report(ds)
+
+
 def test_step_curve_shape_and_mean():
     train_ds, _, test_ds = tiny_pipeline()
     model = build_model(TrainConfig(lookback=16, horizon=8))

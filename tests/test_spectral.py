@@ -6,6 +6,7 @@ code with the module under test).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,6 +293,21 @@ def test_partial_sum_is_chunked_without_changing_a_bit():
             value = fourier_partial_sum(model, order, x[300])
             assert type(value) is float
             assert value == fourier_partial_sum(model, order, x[300:301])[0]
+
+
+def test_partial_sum_blocks_stay_within_the_byte_budget(monkeypatch):
+    # 256-point blocks at order 20,000 hold about 40 MB per temporary; a
+    # 1 MiB budget cuts them to 6 points.
+    monkeypatch.setattr(spectral, "PARTIAL_SUM_BLOCK_BYTES", 2**20)
+    model = square_wave_series(max_order=20_000)
+    x = np.linspace(0.0, model.period, 300)
+    tracemalloc.start()
+    try:
+        fourier_partial_sum(model, 20_000, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_partial_sum_converges_to_jump_midpoint():
