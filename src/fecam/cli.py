@@ -123,8 +123,7 @@ def _select_channel(series: RawSeries, channel: str | None) -> RawSeries:
         raise ValueError(f"{matches or 'no'} channels named {channel!r}; "
                          f"file has {series.channel_names}")
     idx = series.channel_names.index(channel)
-    return dataclasses.replace(series, observations=series.observations[:, idx:idx + 1],
-                               channel_names=[channel])
+    return RawSeries(series.observations[:, idx:idx + 1], [channel])
 
 
 def _prepared_windows(args, lookback: int, horizon: int):

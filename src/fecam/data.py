@@ -10,9 +10,11 @@ timestamps of one kind and strictly increasing) is read in one np.loadtxt
 call for the values and one pass over the timestamp column. Every other
 file is read row by row through csv.reader, with Python's float() of each
 stripped cell; that reader alone reports errors, each at the first fault in
-file order, and forward-fills missing cells. Both readers decode UTF-8 and
-drop a leading byte-order mark, as Excel's "CSV UTF-8" writes. From the
-split on, every stage takes and returns plain (rows, C) float64 arrays.
+file order, and forward-fills missing cells. Both readers decode UTF-8,
+drop a leading byte-order mark, as Excel's "CSV UTF-8" writes, and check
+each timestamp's order as they parse it; a series keeps the values and the
+channel names, and no timestamp. From the split on, every stage takes and
+returns plain (rows, C) float64 arrays.
 The split slices are views of the series' observations, and windows are
 read-only views of a standardized, channel-major slice, so windowing a T x C
 series costs O(T*C) memory, not O(N*C*(L+O)) for N windows.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import repeat
@@ -35,9 +38,9 @@ FILL_POLICIES = ("reject", "ffill")
 
 @dataclass
 class RawSeries:
-    """A multivariate series: strictly increasing timestamps over a T x C matrix."""
+    """A multivariate series: a T x C matrix of values in time order and its
+    C channel names. The readers check a file's timestamps and keep none."""
 
-    timestamps: list
     observations: np.ndarray
     channel_names: list[str]
 
@@ -45,24 +48,8 @@ class RawSeries:
         self.observations = np.asarray(self.observations, dtype=np.float64)
         if self.observations.ndim != 2:
             raise ValueError("observations must be a T x C matrix")
-        t, c = self.observations.shape
-        if len(self.timestamps) != t:
-            raise ValueError(f"{len(self.timestamps)} timestamps for {t} rows")
-        if len(self.channel_names) != c:
-            raise ValueError(f"{len(self.channel_names)} names for {c} channels")
-        # Only a failure of this cheap loop pays for _order_fault's reason.
-        try:
-            for a, b in zip(self.timestamps, self.timestamps[1:]):
-                if not a < b:
-                    break
-            else:
-                return
-        except TypeError:
-            pass
-        for index, (a, b) in enumerate(zip(self.timestamps, self.timestamps[1:]), start=1):
-            reason = _order_fault(a, b)
-            if reason is not None:
-                raise ValueError(f"timestamp {index}: {reason}")
+        if len(self.channel_names) != self.channels:
+            raise ValueError(f"{len(self.channel_names)} names for {self.channels} channels")
 
     @property
     def length(self) -> int:
@@ -149,7 +136,7 @@ def _read_clean(path: Path, date_column: str | int) -> RawSeries | None:
     comma count, has only value cells that np.loadtxt parses to finite
     floats, has a timestamp column that one float() pass or one ISO pass
     under _iso_only's rule parses (see _parse_stamp_column), and has
-    timestamps in strictly increasing order, which RawSeries checks once. On
+    timestamps in strictly increasing order, checked on that parsed list. On
     such a file csv.reader splits the cells exactly as str.split(",") does,
     and every cell np.loadtxt accepts reads to the same bits under
     _read_validating's rule, float() of the stripped cell (np.loadtxt rejects
@@ -193,13 +180,13 @@ def _read_clean(path: Path, date_column: str | int) -> RawSeries | None:
         return None
     if not np.isfinite(observations).all():
         return None
-    timestamps = _parse_stamp_column(lines, ts_index)
-    if timestamps is None:
-        return None
+    stamps = _parse_stamp_column(lines, ts_index)
     try:
-        return RawSeries(timestamps, observations, channel_names)
-    except ValueError:  # timestamps not strictly increasing, or naive and aware mixed
+        if stamps is None or not all(map(operator.lt, stamps, stamps[1:])):
+            return None
+    except TypeError:  # naive and offset-aware times mixed
         return None
+    return RawSeries(observations, channel_names)
 
 
 def _parse_stamp_column(lines: list[str], ts_index: int) -> list | None:
@@ -257,7 +244,7 @@ def _read_validating(path: Path, date_column: str | int, fill_policy: str) -> Ra
         header = [h.strip() for h in header]
         ts_index, channel_names = _columns(header, date_column)
 
-        timestamps = []
+        previous = None
         rows = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -265,10 +252,10 @@ def _read_validating(path: Path, date_column: str | int, fill_policy: str) -> Ra
             if len(row) != len(header):
                 raise ValueError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
             stamp = _parse_timestamp(row.pop(ts_index), line_no)
-            reason = _order_fault(timestamps[-1], stamp) if timestamps else None
+            reason = _order_fault(previous, stamp) if rows else None
             if reason is not None:
                 raise ValueError(f"line {line_no}: {reason}")
-            timestamps.append(stamp)
+            previous = stamp
             try:  # the usual row: all cells finite numbers, checked by one sum
                 values = [float(cell.strip()) for cell in row]
             except ValueError:  # a blank or unparseable cell
@@ -293,7 +280,7 @@ def _read_validating(path: Path, date_column: str | int, fill_policy: str) -> Ra
 
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return RawSeries(timestamps, np.array(rows, dtype=np.float64), channel_names)
+    return RawSeries(np.array(rows, dtype=np.float64), channel_names)
 
 
 def write_csv(path, header, rows) -> None:

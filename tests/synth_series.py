@@ -44,4 +44,4 @@ def synth_series(kind: str, length: int, channels: int,
     if noise_std > 0.0:
         observations += np.random.default_rng(seed).normal(0.0, noise_std, observations.shape)
     names = [f"ch{c}" for c in range(channels)]
-    return RawSeries(list(t), observations, names)
+    return RawSeries(observations, names)

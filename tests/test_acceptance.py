@@ -257,7 +257,7 @@ def test_07_ettm2_univariate_96_step_mse_stretch_goal():
     series = load_csv(ETTM2_PATH, date_column="date")
     idx = series.channel_names.index("OT")
     from fecam.data import RawSeries
-    series = RawSeries(series.timestamps, series.observations[:, idx:idx + 1], ["OT"])
+    series = RawSeries(series.observations[:, idx:idx + 1], ["OT"])
     splits = chronological_split(series, (3, 1, 1), min_slice_len=192)
     scaler = fit_standardizer(splits[0])
     train_ds, val_ds, test_ds = (make_windows(scaler.apply(s), 96, 96) for s in splits)

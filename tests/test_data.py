@@ -11,6 +11,7 @@ import pytest
 from fecam.data import (
     RawSeries,
     Standardizer,
+    _parse_stamp_column,
     _parse_timestamp,
     _read_clean,
     _read_validating,
@@ -35,20 +36,16 @@ def write(tmp_path, text, name="data.csv"):
 # --- RawSeries ---------------------------------------------------------------
 
 def test_series_validates_shapes_and_order():
-    with pytest.raises(ValueError):
-        RawSeries([0.0, 1.0], np.zeros((3, 2)), ["a", "b"])
-    with pytest.raises(ValueError):
-        RawSeries([0.0, 1.0, 2.0], np.zeros((3, 2)), ["a"])
-    with pytest.raises(ValueError):
-        RawSeries([0.0, 2.0, 1.0], np.zeros((3, 2)), ["a", "b"])
-    with pytest.raises(ValueError):
-        RawSeries([0.0, 1.0, 1.0], np.zeros((3, 2)), ["a", "b"])
-    # Kinds that cannot be compared are a ValueError too, with the readers' reason.
-    with pytest.raises(ValueError, match="timestamp 1: timestamp type differs"):
-        RawSeries([1.0, datetime(2020, 1, 1)], np.zeros((2, 1)), ["a"])
-    aware = datetime(2020, 1, 1, 1, tzinfo=timezone.utc)
-    with pytest.raises(ValueError, match="timestamp 1: timestamp mixes naive and offset-aware"):
-        RawSeries([datetime(2020, 1, 1), aware], np.zeros((2, 1)), ["a"])
+    with pytest.raises(ValueError, match="must be a T x C matrix"):
+        RawSeries(np.zeros(3), ["a"])
+    with pytest.raises(ValueError, match="1 names for 2 channels"):
+        RawSeries(np.zeros((3, 2)), ["a"])
+    # A series keeps no timestamps; the readers refuse each order fault,
+    # and FAST_READ_CASES asserts every reason at the line that has it.
+    messages = [case[4] for case in FAST_READ_CASES]
+    for reason in ("timestamps not strictly increasing", "timestamp type differs",
+                   "timestamp mixes naive and offset-aware"):
+        assert any(reason in (message or "") for message in messages), reason
 
 
 # --- load_csv ------------------------------------------------------------------
@@ -172,36 +169,32 @@ def test_whitespace_around_cells_loads_the_same_array(tmp_path, policy):
     expected = load_csv(write(tmp_path, plain, "plain.csv"), fill_policy=policy)
     series = load_csv(write(tmp_path, padded, "padded.csv"), fill_policy=policy)
     assert series.observations.tobytes() == expected.observations.tobytes()
-    assert series.timestamps == expected.timestamps
+    assert series.channel_names == expected.channel_names
 
 
 def reference_load(path, fill_policy):
     """Per-cell float() loader with load_csv's rules, for files with valid cells.
 
-    Returns (timestamps, observations, None), or (None, None, message) for
-    the first missing cell that the policy cannot fill.
+    Returns (observations, None), or (None, message) for the first missing
+    cell that the policy cannot fill.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        timestamps, rows = [], []
+        rows = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            try:
-                timestamps.append(float(row[0]))
-            except ValueError:
-                timestamps.append(datetime.fromisoformat(row[0]))
             values = []
             for col, cell in enumerate(row[1:]):
                 value = float(cell) if cell.strip() else float("nan")
                 if np.isnan(value):
                     if fill_policy == "reject" or not rows:
-                        return None, None, f"line {line_no}: missing value in column 'ch{col}'"
+                        return None, f"line {line_no}: missing value in column 'ch{col}'"
                     value = rows[-1][col]
                 values.append(value)
             rows.append(values)
-    return timestamps, np.array(rows), None
+    return np.array(rows), None
 
 
 def valid_cell(rng, value, clean=False):
@@ -266,7 +259,7 @@ def test_bulk_parse_matches_per_cell_reference(tmp_path, seed):
         if name == "clean.csv":
             assert fast is not None
         for policy in ("reject", "ffill"):
-            timestamps, observations, message = reference_load(path, policy)
+            observations, message = reference_load(path, policy)
             if message is not None:
                 for read in (load_csv, _read_validating):
                     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -276,18 +269,18 @@ def test_bulk_parse_matches_per_cell_reference(tmp_path, seed):
             for series in (load_csv(path, 0, policy), _read_validating(path, 0, policy), fast):
                 if series is None:
                     continue
-                assert series.timestamps == timestamps
+                assert series.channel_names == [f"ch{c}" for c in range(channels)]
                 assert series.observations.dtype == np.float64
                 assert series.observations.tobytes() == observations.tobytes()
 
 
 def read_outcome(read, *args):
-    """What a reader gives for a file: (timestamps, observation bytes, names) or its error."""
+    """What a reader gives for a file: (observation bytes, names) or its error."""
     try:
         series = read(*args)
     except ValueError as exc:
         return str(exc)
-    return series.timestamps, series.observations.tobytes(), series.channel_names
+    return series.observations.tobytes(), series.channel_names
 
 
 # (id, file text, date column, whether the fast read takes the file, and
@@ -447,23 +440,27 @@ def stamp_column(rng, rows, kind):
 @pytest.mark.parametrize("seed", range(48))
 def test_bulk_stamp_parse_matches_the_per_row_parse(tmp_path, seed):
     # The fast read parses the stamp column in one float() pass or one
-    # fromisoformat pass; it must give exactly the per-row parse's stamps
-    # (value and type), or decline the file.
+    # fromisoformat pass; on a file it takes, that must give exactly the
+    # per-row parse's stamps (value and type), and it must decline every
+    # file the validating reader refuses.
     rng = np.random.default_rng([seed, 14])
     kind = STAMP_KINDS[seed % len(STAMP_KINDS)]
     rows = int(rng.integers(2, 40))
     column = stamp_column(rng, rows, kind)
-    path = write(tmp_path, "date,a\n" + "".join(f"{c},{i}\n" for i, c in enumerate(column)))
+    lines = [f"{c},{i}" for i, c in enumerate(column)]
+    path = write(tmp_path, "date,a\n" + "".join(line + "\n" for line in lines))
     fast = _read_clean(path, 0)
     if kind in ("numbers", "plain-iso"):
         assert fast is not None
     try:
-        expected = _read_validating(path, 0, "reject").timestamps
+        _read_validating(path, 0, "reject")
     except ValueError:
         assert fast is None
         return
     if fast is not None:
-        assert [(type(t), t) for t in fast.timestamps] == [(type(t), t) for t in expected]
+        expected = [_parse_timestamp(cell, line_no) for line_no, cell in enumerate(column, 2)]
+        stamps = _parse_stamp_column(lines, 0)
+        assert [(type(t), t) for t in stamps] == [(type(t), t) for t in expected]
 
 
 def test_ragged_row_rejected(tmp_path):
@@ -507,7 +504,7 @@ def test_write_csv_formats_cells_with_lf_endings(tmp_path):
     assert raw.decode() == "n,dct_err,dft_err\n5,0.333333333,2.5e-13\n10,-7,0\n"
     # Nine significant digits round-trip through load_csv to ~1e-9 relative.
     reread = load_csv(path)
-    assert reread.timestamps == [5.0, 10.0]
+    assert reread.channel_names == ["dct_err", "dft_err"]
     np.testing.assert_allclose(reread.observations, [row[1:] for row in rows], rtol=1e-8)
 
 
@@ -515,7 +512,7 @@ def test_write_csv_formats_cells_with_lf_endings(tmp_path):
 
 def make_series(t, c=2):
     obs = np.arange(t * c, dtype=float).reshape(t, c)
-    return RawSeries(list(range(t)), obs, [f"ch{i}" for i in range(c)])
+    return RawSeries(obs, [f"ch{i}" for i in range(c)])
 
 
 def test_split_literal_seven_two_two():

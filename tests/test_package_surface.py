@@ -2,7 +2,8 @@
 
 A public function or class of a `fecam` module that nothing in `src/` or
 `bench/` refers to is reached only by tests; such helpers live under
-`tests/` (`grad_check.py`, `synth_series.py`, `param_pairs.py`). A module
+`tests/` (`grad_check.py`, `synth_series.py`, `param_pairs.py`). Likewise,
+every dataclass field is read somewhere in `src/` or `bench/`. A module
 reads no other object's private (underscore) names. Every span the
 benchmark's per-layer metrics read is a public function the tracer wraps.
 """
@@ -51,6 +52,36 @@ def test_every_public_definition_is_used_outside_tests(module):
                 used.add(name)
     unused = [name for name in public_definitions(SOURCES[path]) if name not in used]
     assert unused == [], f"fecam.{module} defines {unused}, which only tests reach"
+
+
+def dataclass_fields(tree):
+    """(class, field) for every annotated field of a @dataclass class in the tree."""
+    return [(top.name, node.target.id) for top in tree.body
+            if isinstance(top, ast.ClassDef)
+            and any("dataclass" in ast.unparse(d) for d in top.decorator_list)
+            for node in top.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+
+
+def attribute_reads(tree):
+    """Every attribute name loaded in the tree outside a __post_init__, which
+    only checks the fields it is handed."""
+    checks = {id(node) for top in ast.walk(tree)
+              if isinstance(top, ast.FunctionDef) and top.name == "__post_init__"
+              for node in ast.walk(top)}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in checks}
+
+
+def test_every_dataclass_field_is_read_outside_tests():
+    # A field nothing reads is carried, and checked, for tests alone.
+    read = set().union(*map(attribute_reads, SOURCES.values()))
+    fields = [(f"{module}.{cls}", name) for module in MODULES
+              for cls, name in dataclass_fields(SOURCES[PACKAGE / f"{module}.py"])]
+    assert fields, "no dataclass fields were found"
+    unread = [f"{cls}.{name}" for cls, name in fields if name not in read]
+    assert unread == [], f"{unread} are read only by tests"
 
 
 def private(name: str) -> bool:
