@@ -145,27 +145,20 @@ def model_forward(model: ForecastModel, x, cache: dict | None = None) -> np.ndar
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != model.lookback:
         raise ValueError(f"expected (B, C, {model.lookback}) input, got {x.shape}")
-    if model.fecam is not None:
-        fecam_cache = {} if cache is not None else None
-        feat, _ = fecam_forward(x, model.fecam, fecam_cache)
-    else:
-        fecam_cache = None
-        feat = x
-    y = dense_forward(model.projection, feat)
+    feat = x if model.fecam is None else fecam_forward(x, model.fecam, cache)[0]
     if cache is not None:
-        cache.update(proj_in=feat, fecam=fecam_cache)
-    return y
+        cache["proj_in"] = feat
+    return dense_forward(model.projection, feat)
 
 
 def model_backward(model: ForecastModel, upstream, cache: dict) -> None:
     """Accumulate parameter grads from a forward cache; dL/dx is not formed."""
     if not cache:
         raise ValueError("model_backward needs the cache filled by model_forward")
-    if model.fecam is None:
-        dense_backward(model.projection, upstream, cache["proj_in"], input_grad=False)
-    else:
-        d_feat = dense_backward(model.projection, upstream, cache["proj_in"])
-        fecam_backward(d_feat, model.fecam, cache["fecam"], input_grad=False)
+    d_feat = dense_backward(model.projection, upstream, cache["proj_in"],
+                            input_grad=model.fecam is not None)
+    if model.fecam is not None:
+        fecam_backward(d_feat, model.fecam, cache, input_grad=False)
 
 
 def _check_windows(ds: WindowedDataset, name: str) -> None:
@@ -212,7 +205,6 @@ def train(model: ForecastModel, train_ds: WindowedDataset, val_ds: WindowedDatas
             for epoch in range(config.epochs):
                 order = shuffle_rng.permutation(train_ds.n_windows)
                 sq_sum = 0.0
-                count = 0
                 for start in range(0, train_ds.n_windows, config.batch_size):
                     idx = order[start:start + config.batch_size]
                     model.zero_grad()
@@ -226,9 +218,8 @@ def train(model: ForecastModel, train_ds: WindowedDataset, val_ds: WindowedDatas
                     model_backward(model, d_loss, cache)
                     adam_step([model.values], [model.grads], state)
                     sq_sum += loss * pred.size
-                    count += pred.size
                 val_mse = evaluate(model, val_ds).mse
-                history.append((epoch, sq_sum / count, val_mse))
+                history.append((epoch, sq_sum / train_ds.targets.size, val_mse))
                 if val_mse < best_val:
                     best_val = val_mse
                     np.copyto(best_values, model.values)
@@ -258,7 +249,6 @@ def _score(ds: WindowedDataset, predict) -> EvalReport:
     """
     sq_sum = 0.0
     abs_sum = 0.0
-    count = 0
     step_sq = np.zeros(ds.horizon)
     for start in range(0, ds.n_windows, INFERENCE_BATCH):
         stop = start + INFERENCE_BATCH
@@ -266,10 +256,10 @@ def _score(ds: WindowedDataset, predict) -> EvalReport:
         sq = diff * diff
         sq_sum += float(sq.sum())
         abs_sum += float(np.abs(diff).sum())
-        count += diff.size
         step_sq += sq.sum(axis=(0, 1))
     per_step = step_sq / (ds.n_windows * ds.channels)
-    return EvalReport(mse=sq_sum / count, mae=abs_sum / count, step_mse=per_step)
+    return EvalReport(mse=sq_sum / ds.targets.size, mae=abs_sum / ds.targets.size,
+                      step_mse=per_step)
 
 
 def evaluate(model: ForecastModel, ds: WindowedDataset) -> EvalReport:

@@ -162,7 +162,7 @@ class AdamState:
     scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, init=False)
 
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> list[np.ndarray]:
+def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
     """Bias-corrected Adam update, applied to params in place.
 
     Each element goes through the same operations, in the same order, as
@@ -198,7 +198,6 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
         np.divide(m, bias1, out=b)
         np.multiply(state.learning_rate, b, out=b)
         p -= np.divide(b, a, out=b)
-    return params
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:

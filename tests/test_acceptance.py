@@ -206,9 +206,9 @@ def test_05_gradient_checks_every_layer_and_full_model_20_seeds():
             pred = model_forward(model, xs, cache)
             loss, dl = mse_loss(pred, target_out)
             model_backward(model, dl, cache)
-            return loss, [g for _, g in model.parameters()]
+            return loss, [model.grads]
 
-        worst = max(worst, _checked_grad(f_model, [p for p, _ in model.parameters()]))
+        worst = max(worst, _checked_grad(f_model, [model.values]))
 
     elapsed = time.perf_counter() - start
     print(f"criterion 5: worst gradient relative error {worst:.3e} in {elapsed:.1f}s")
@@ -236,9 +236,7 @@ def test_06_training_smoke_beats_persistence_and_is_bit_deterministic():
     model_b, history_b = run()
     report = evaluate(model_a, test_ds)
     baseline = persistence_report(test_ds)
-    identical = history_a == history_b and all(
-        np.array_equal(pa, pb) for (pa, _), (pb, _) in zip(model_a.parameters(),
-                                                           model_b.parameters()))
+    identical = history_a == history_b and np.array_equal(model_a.values, model_b.values)
     elapsed = time.perf_counter() - start
     print(f"criterion 6: trained mse {report.mse:.4f} vs persistence "
           f"{baseline.mse:.4f}, deterministic={identical}, {elapsed:.1f}s")

@@ -106,10 +106,9 @@ def test_full_model_gradient_check():
         pred = model_forward(model, x, cache)
         loss, d_loss = mse_loss(pred, target)
         model_backward(model, d_loss, cache)
-        return loss, [g for _, g in model.parameters()]
+        return loss, [model.grads]
 
-    params = [p for p, _ in model.parameters()]
-    assert grad_check(f, params) < 1e-4
+    assert grad_check(f, [model.values]) < 1e-4
 
 
 def test_shared_projection_init_across_arms():
@@ -127,12 +126,36 @@ def test_zero_learning_rate_is_a_no_op():
     train_ds, val_ds, _ = tiny_pipeline()
     cfg = TrainConfig(lookback=16, horizon=8, lr=0.0, epochs=3, early_stop_patience=10)
     model = build_model(cfg)
-    before = [p.copy() for p, _ in model.parameters()]
+    before = model.values.copy()
     model, history = train(model, train_ds, val_ds, cfg)
-    for (p, _), snapshot in zip(model.parameters(), before):
-        np.testing.assert_array_equal(p, snapshot)
+    np.testing.assert_array_equal(model.values, before)
     losses = [row[1] for row in history]
     np.testing.assert_allclose(losses, losses[0], rtol=1e-12)
+
+
+def test_train_loss_is_the_element_weighted_mean_of_the_batch_losses(monkeypatch):
+    train_ds, val_ds, _ = tiny_pipeline()
+    cfg = TrainConfig(lookback=16, horizon=8, lr=1e-3, batch_size=30, epochs=3,
+                      early_stop_patience=3)
+    assert train_ds.n_windows % cfg.batch_size  # the last batch is a partial one
+    batches = []
+
+    def spy(*args):
+        loss, d_loss = mse_loss(*args)
+        batches.append((loss, args[0].size))
+        return loss, d_loss
+
+    monkeypatch.setattr(forecaster, "mse_loss", spy)
+    _, history = train(build_model(cfg), train_ds, val_ds, cfg)
+    per_epoch = -(-train_ds.n_windows // cfg.batch_size)
+    assert len(history) == cfg.epochs and len(batches) == per_epoch * cfg.epochs
+    for epoch, train_loss, _ in history:
+        epoch_batches = batches[epoch * per_epoch:(epoch + 1) * per_epoch]
+        assert epoch_batches[-1][1] < epoch_batches[0][1]
+        weighted = 0.0
+        for loss, size in epoch_batches:
+            weighted += loss * size
+        assert train_loss == weighted / sum(size for _, size in epoch_batches)
 
 
 def test_training_reduces_loss():
@@ -328,7 +351,7 @@ def test_skipping_the_input_gradient_accumulates_the_same_grads(with_fecam):
                 assert model_backward(model, d_loss, cache) is None
             elif with_fecam:
                 d_feat = dense_backward(model.projection, d_loss, cache["proj_in"])
-                assert fecam_backward(d_feat, model.fecam, cache["fecam"],
+                assert fecam_backward(d_feat, model.fecam, cache,
                                       input_grad=True).shape == x.shape
             else:
                 assert dense_backward(model.projection, d_loss, cache["proj_in"],
@@ -354,7 +377,7 @@ def test_train_does_not_ask_for_the_input_gradient(monkeypatch):
 @pytest.mark.parametrize("with_fecam", [True, False], ids=["fecam", "plain"])
 def test_parameters_live_in_one_flat_vector(with_fecam):
     model = build_model(TrainConfig(lookback=16, horizon=8, seed=6), with_fecam=with_fecam)
-    (values, grads), = model.parameters()
+    values, grads = model.values, model.grads
     assert values.ndim == 1 and grads.shape == values.shape
     for name, array in model.state_arrays().items():
         assert np.shares_memory(array, values), name
@@ -398,7 +421,7 @@ def test_load_and_best_epoch_restore_write_through_the_flat_vector(tmp_path):
 
 def test_adam_step_on_the_flat_vector_allocates_no_arrays():
     model = build_model(TrainConfig(lookback=96, horizon=96))
-    values, grads = model.parameters()[0]
+    values, grads = model.values, model.grads
     grads[:] = np.random.default_rng(8).normal(size=grads.shape)
     state = AdamState(learning_rate=1e-3)
     adam_step([values], [grads], state)  # allocates the moments and scratch
