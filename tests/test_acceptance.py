@@ -70,7 +70,7 @@ def test_01_lowest_dct_coefficient_equals_scaled_mean_for_1000_signals():
 
 def test_02_gibbs_overshoot_constant_within_half_percent_and_monotone():
     start = time.perf_counter()
-    model = square_wave_series(amplitude=1.0, max_order=10_000)
+    model = square_wave_series(amplitude=1.0)
     target = model.jump * GIBBS_CONSTANT
     overshoots = {n: gibbs_overshoot(model, n) for n in (100, 1000, 10_000)}
     final_rel = abs(overshoots[10_000] - target) / target

@@ -263,32 +263,33 @@ def test_dct_equals_phase_corrected_even_dft():
 # --- Fourier partial sums -----------------------------------------------------
 
 def test_square_wave_first_harmonic_peak():
-    model = square_wave_series(amplitude=1.0, max_order=1)
+    model = square_wave_series(amplitude=1.0)
     assert fourier_partial_sum(model, 1, model.period / 4) == pytest.approx(
         4 / np.pi, abs=1e-12)
 
 
 def test_order_zero_is_half_a0():
-    model = pulse_wave_series(max_order=10)
+    model = pulse_wave_series()
     for x in (0.0, 0.31, 0.77):
         assert fourier_partial_sum(model, 0, x) == pytest.approx(model.a0 / 2)
 
 
-def test_order_above_max_rejected():
-    model = square_wave_series(max_order=5)
+def test_negative_order_rejected():
+    model = square_wave_series()
     with pytest.raises(ValueError):
-        fourier_partial_sum(model, 6, 0.1)
+        fourier_partial_sum(model, -1, 0.1)
 
 
 def test_partial_sum_is_chunked_without_changing_a_bit():
     # 600 points are two full 256-point chunks plus a ragged tail; the chunks
     # must add the same terms in the same order as one (points x order) product.
-    for model in (square_wave_series(max_order=40), pulse_wave_series(2.5, max_order=40)):
+    for model in (square_wave_series(), pulse_wave_series(2.5)):
         x = np.linspace(-0.3, 1.7, 600) * model.period
         for order in (0, 1, 37):
-            outer = 2 * np.pi * np.outer(x, np.arange(1, order + 1)) / model.period
-            reference = (0.5 * model.a0 + np.cos(outer) @ model.cos_coeffs[:order]
-                         + np.sin(outer) @ model.sin_coeffs[:order])
+            n = np.arange(1, order + 1)
+            cos_c, sin_c = model.coefficients(n)
+            outer = 2 * np.pi * np.outer(x, n) / model.period
+            reference = 0.5 * model.a0 + np.cos(outer) @ cos_c + np.sin(outer) @ sin_c
             assert fourier_partial_sum(model, order, x).tobytes() == reference.tobytes()
             value = fourier_partial_sum(model, order, x[300])
             assert type(value) is float
@@ -299,7 +300,7 @@ def test_partial_sum_blocks_stay_within_the_byte_budget(monkeypatch):
     # 256-point blocks at order 20,000 hold about 40 MB per temporary; a
     # 1 MiB budget cuts them to 6 points.
     monkeypatch.setattr(spectral, "PARTIAL_SUM_BLOCK_BYTES", 2**20)
-    model = square_wave_series(max_order=20_000)
+    model = square_wave_series()
     x = np.linspace(0.0, model.period, 300)
     tracemalloc.start()
     try:
@@ -313,7 +314,7 @@ def test_partial_sum_blocks_stay_within_the_byte_budget(monkeypatch):
 def test_partial_sum_converges_to_jump_midpoint():
     # At the jump the partial sum tends to the average of the one-sided
     # limits; the asymmetric pulse makes this nontrivial at finite order.
-    model = pulse_wave_series(max_order=10_000)
+    model = pulse_wave_series()
     midpoint = 0.5 * (model.left_limit + model.right_limit)
     assert fourier_partial_sum(model, 10_000, 0.0) == pytest.approx(midpoint, abs=1e-3)
 
@@ -321,7 +322,7 @@ def test_partial_sum_converges_to_jump_midpoint():
 # --- Gibbs overshoot ----------------------------------------------------------
 
 def test_overshoot_converges_to_constant():
-    model = square_wave_series(amplitude=1.0, max_order=10_000)  # jump a = 2
+    model = square_wave_series(amplitude=1.0)  # jump a = 2
     target = model.jump * spectral.GIBBS_CONSTANT
     overshoot = gibbs_overshoot(model, 10_000)
     assert overshoot == pytest.approx(0.17897974780550063, abs=1e-12)  # frozen
@@ -329,32 +330,32 @@ def test_overshoot_converges_to_constant():
 
 
 def test_overshoot_errors_shrink_monotonically():
-    model = square_wave_series(amplitude=1.0, max_order=10_000)
+    model = square_wave_series(amplitude=1.0)
     target = model.jump * spectral.GIBBS_CONSTANT
     errs = [abs(gibbs_overshoot(model, n) - target) for n in (100, 1000, 10_000)]
     assert errs[0] > errs[1] > errs[2]
 
 
 def test_negative_jump_flips_overshoot_sign():
-    model = square_wave_series(amplitude=-1.0, max_order=10_000)  # jump a = -2
+    model = square_wave_series(amplitude=-1.0)  # jump a = -2
     overshoot = gibbs_overshoot(model, 10_000)
     assert overshoot == pytest.approx(-0.17897974780550063, abs=1e-12)
 
 
 def test_overshoot_is_linear_in_jump():
-    big = gibbs_overshoot(square_wave_series(2.0, max_order=4000), 4000)
-    small = gibbs_overshoot(square_wave_series(1.0, max_order=4000), 4000)
+    big = gibbs_overshoot(square_wave_series(2.0), 4000)
+    small = gibbs_overshoot(square_wave_series(1.0), 4000)
     assert big == pytest.approx(2 * small, rel=1e-9)
 
 
 def test_zero_jump_rejected():
-    model = square_wave_series(amplitude=0.0, max_order=10)
+    model = square_wave_series(amplitude=0.0)
     with pytest.raises(ValueError):
         gibbs_overshoot(model, 10)
 
 
 def test_gibbs_sweep_rows():
-    model = square_wave_series(amplitude=1.0, max_order=1000)
+    model = square_wave_series(amplitude=1.0)
     rows = gibbs_sweep(model, [10, 100, 1000])
     assert [r[0] for r in rows] == [10, 100, 1000]
     assert all(r[2] == pytest.approx(2 * spectral.GIBBS_CONSTANT) for r in rows)
