@@ -20,6 +20,7 @@ from .data import write_csv
 from .nncore import (
     DenseLayer,
     dense_backward,
+    float_array,
     relu_backward,
     relu_forward,
     sigmoid_backward,
@@ -41,7 +42,10 @@ INFERENCE_BATCH = 64
 
 
 def _check_input(x, block: Excitation) -> np.ndarray:
-    """x as a finite, C-contiguous float64 (batch, channels, block.size) array.
+    """x as a finite, C-contiguous (batch, channels, block.size) array.
+
+    float32 stays float32, so a float32 block computes in float32; any other
+    input becomes float64.
 
     A batch gathered by index from the windows of a channel-major series is
     already C-contiguous and comes back as it is. A sliced batch is strided
@@ -49,7 +53,7 @@ def _check_input(x, block: Excitation) -> np.ndarray:
     length axis, makes every later reshape to (batch*channels, length) a
     view and every elementwise pass run over contiguous memory.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = float_array(x)
     if x.ndim != 3:
         raise ValueError(f"x must have shape (batch, channels, length), got {x.shape}")
     x = np.ascontiguousarray(x)
@@ -82,8 +86,13 @@ class Excitation:
 
 
 def _folded_weight(block: Excitation) -> np.ndarray:
-    """D^T W1: the cosine transform folded into the first excitation layer."""
-    return dct_matrix(block.size, ORTHO).T @ block.excite1.weight
+    """D^T W1: the cosine transform folded into the first excitation layer.
+
+    Formed in float64 and returned in W1's dtype, so a float32 block's later
+    products are not promoted by the float64 basis.
+    """
+    weight = block.excite1.weight
+    return (dct_matrix(block.size, ORTHO).T @ weight).astype(weight.dtype, copy=False)
 
 
 def _excite(rows: np.ndarray, block: Excitation, folded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,7 +140,7 @@ def mean_attention(windows, block: Excitation) -> np.ndarray:
     per call rather than once per batch, and the rescaled input x * att,
     which the map does not need, is never formed.
     """
-    windows = np.asarray(windows, dtype=np.float64)
+    windows = float_array(windows)
     if windows.ndim != 3 or len(windows) == 0:
         raise ValueError(f"windows must have shape (n >= 1, channels, length), got {windows.shape}")
     folded = _folded_weight(block)
@@ -156,7 +165,7 @@ def fecam_backward(upstream, block: Excitation, cache: dict, *,
     """
     if not cache:
         raise ValueError("fecam_backward needs the cache filled by fecam_forward")
-    upstream = np.asarray(upstream, dtype=np.float64)
+    upstream = float_array(upstream)
     x, att = cache["x"], cache["att"]
     if upstream.shape != x.shape:
         raise ValueError(f"upstream shape {upstream.shape} != input shape {x.shape}")
@@ -167,6 +176,8 @@ def fecam_backward(upstream, block: Excitation, cache: dict, *,
     d_z1 = dense_backward(block.excite2, d_z2, h1)
     del d_z2  # so the input gradient is not allocated while it is held
     relu_backward(d_z1, h1, out=d_z1)
+    # As for the fold, the float64 basis makes this product float64 for a
+    # float32 block; the sum is cast back into the gradient's dtype.
     block.excite1.weight_grad += dct_matrix(block.size, ORTHO) @ (rows.T @ d_z1)
     block.excite1.bias_grad += d_z1.sum(axis=0)
     if not input_grad:

@@ -18,6 +18,7 @@ environment variable, when set, takes precedence over --out.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -103,6 +104,10 @@ def _write_manifest(out_dir: Path, args, argv: list[str]) -> None:
         if key == "func":
             continue
         config[key] = str(value) if isinstance(value, Path) else value
+    # float32 training's bits depend on the BLAS kernels, so the BLAS is named too.
+    blas = {}
+    with contextlib.suppress(TypeError, KeyError):  # show_config(mode=) needs numpy >= 1.25
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     _write_json(out_dir / "manifest.json", {
         "command_line": argv,
         "config": config,
@@ -111,6 +116,8 @@ def _write_manifest(out_dir: Path, args, argv: list[str]) -> None:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "fecam": __version__,
+            "blas": blas.get("name", "unknown"),
+            "blas_version": blas.get("version", "unknown"),
         },
     })
 

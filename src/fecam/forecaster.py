@@ -3,11 +3,12 @@
 The model is deliberately small — an optional attention layer followed by a
 single lookback-to-horizon dense map whose weights are shared by every
 channel. Training is plain mini-batch Adam with seeded shuffling, per-epoch
-learning-rate decay, and early stopping on validation MSE; the best
-validation weights are restored at the end. A persistence baseline (repeat
-the last observed value) anchors every comparison. Models built from one
-config with and without the attention layer start from the same projection
-weights, so the two can be trained as matched ablation arms.
+learning-rate decay, and early stopping on validation MSE, each step computed
+in float32 against float64 weights; the best validation weights are restored
+at the end. A persistence baseline (repeat the last observed value) anchors
+every comparison. Models built from one config with and without the
+attention layer start from the same projection weights, so the two can be
+trained as matched ablation arms.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .nncore import (
     adam_step,
     dense_backward,
     dense_forward,
+    float_array,
     load_checkpoint,
     mse_loss,
     save_checkpoint,
@@ -98,12 +100,15 @@ class ForecastModel:
     layers' arrays become views into them. The optimizer, zero_grad and
     best-epoch snapshots each handle one array, and the checkpoint names
     each array f"{prefix}.weight" or f"{prefix}.bias".
+    `dtype` is that of `values` and `grads`: float64, or float32 for the copy
+    whose steps `train` runs.
     """
 
     def __init__(self, lookback: int, horizon: int, reduction: int = 2,
-                 with_fecam: bool = True, seed: int = 0):
+                 with_fecam: bool = True, seed: int = 0, dtype=np.float64):
         self.lookback = lookback
         self.horizon = horizon
+        self.reduction = reduction
         self.projection = DenseLayer(lookback, horizon, np.random.default_rng([seed, 0]))
         self.fecam = (Excitation(lookback, reduction, np.random.default_rng([seed, 1]))
                       if with_fecam else None)
@@ -111,7 +116,8 @@ class ForecastModel:
         if self.fecam is not None:
             self.layers.update({"fecam.excite1": self.fecam.excite1,
                                 "fecam.excite2": self.fecam.excite2})
-        self.values = np.concatenate([a.ravel() for a in self.state_arrays().values()])
+        self.values = np.concatenate([a.ravel() for a in self.state_arrays().values()],
+                                     dtype=dtype)
         self.grads = np.zeros_like(self.values)
         offset = 0
         for layer in self.layers.values():
@@ -142,7 +148,7 @@ def build_model(config: TrainConfig, with_fecam: bool = True) -> ForecastModel:
 
 def model_forward(model: ForecastModel, x, cache: dict | None = None) -> np.ndarray:
     """(B, C, L) -> (B, C, O); pass a dict to retain activations for backward."""
-    x = np.asarray(x, dtype=np.float64)
+    x = float_array(x)
     if x.ndim != 3 or x.shape[2] != model.lookback:
         raise ValueError(f"expected (B, C, {model.lookback}) input, got {x.shape}")
     feat = x if model.fecam is None else fecam_forward(x, model.fecam, cache)[0]
@@ -182,10 +188,15 @@ def train(model: ForecastModel, train_ds: WindowedDataset, val_ds: WindowedDatas
           config: TrainConfig) -> tuple[ForecastModel, list[tuple[int, float, float]]]:
     """Mini-batch Adam with early stopping; returns (model, per-epoch history).
 
-    History rows are (epoch, train_loss, val_loss). The model keeps the
-    weights of its best validation epoch, not necessarily the last one.
-    Raises DivergenceError the moment any batch loss turns non-finite or any
-    step or validation pass overflows.
+    Each batch's forward, loss and backward run in float32, on a float32 copy
+    of the model that takes the weights before the step; its gradients feed
+    Adam, which updates the float64 weights of `model`. Validation, the best
+    epoch's weights and anything scored afterwards stay float64. History
+    rows are (epoch, train_loss, val_loss), each loss summed in float64. The
+    model keeps the weights of its best validation epoch, not necessarily the
+    last one. Raises DivergenceError the moment any batch loss turns
+    non-finite or any step or validation pass overflows, a weight too large
+    for float32 included.
     """
     _check_dataset(train_ds, model, "train")
     _check_dataset(val_ds, model, "val")
@@ -195,6 +206,8 @@ def train(model: ForecastModel, train_ds: WindowedDataset, val_ds: WindowedDatas
     best_val = np.inf
     best_values = model.values.copy()
     stale_epochs = 0
+    twin = ForecastModel(model.lookback, model.horizon, model.reduction,
+                         with_fecam=model.fecam is not None, dtype=np.float32)
 
     # Data and initial weights are finite, so an overflow or invalid operation
     # anywhere in a step or in validation means the weights have diverged.
@@ -207,15 +220,17 @@ def train(model: ForecastModel, train_ds: WindowedDataset, val_ds: WindowedDatas
                 sq_sum = 0.0
                 for start in range(0, train_ds.n_windows, config.batch_size):
                     idx = order[start:start + config.batch_size]
-                    model.zero_grad()
+                    np.copyto(twin.values, model.values)
+                    twin.zero_grad()
                     cache = {}
-                    pred = model_forward(model, train_ds.inputs[idx], cache)
-                    loss, d_loss = mse_loss(pred, train_ds.targets[idx])
+                    pred = model_forward(twin, train_ds.inputs[idx].astype(np.float32), cache)
+                    loss, d_loss = mse_loss(pred, train_ds.targets[idx].astype(np.float32))
                     if not np.isfinite(loss):
                         raise DivergenceError(
                             f"non-finite loss at epoch {epoch}, batch starting at {start}; "
                             f"try a lower learning rate (current {state.learning_rate:g})")
-                    model_backward(model, d_loss, cache)
+                    model_backward(twin, d_loss, cache)
+                    np.copyto(model.grads, twin.grads)
                     adam_step([model.values], [model.grads], state)
                     sq_sum += loss * pred.size
                 val_mse = evaluate(model, val_ds).mse

@@ -1,11 +1,13 @@
 """Minimal reverse-mode stack for small fixed networks.
 
-Everything operates on plain float64 ndarrays whose last axis is the feature
-axis; leading axes (batch, channel) broadcast through untouched. There is no
-tape: each operation exposes an explicit forward and backward, and gradient
-buffers live on the layers that own the parameters. Backward calls accumulate
-into those buffers, so callers zero them at the start of every optimization
-step.
+Everything operates on plain ndarrays whose last axis is the feature axis;
+leading axes (batch, channel) broadcast through untouched. A layer function
+computes in float32 when given float32 and in float64 otherwise
+(`float_array`), so a float32 copy of a network runs in float32 end to end;
+Adam and checkpoints are float64 only. There is no tape: each operation
+exposes an explicit forward and backward, and gradient buffers live on the
+layers that own the parameters. Backward calls accumulate into those
+buffers, so callers zero them at the start of every optimization step.
 """
 
 from __future__ import annotations
@@ -22,8 +24,14 @@ CHECKPOINT_FORMAT = "fecam-checkpoint"
 CHECKPOINT_VERSION = 2
 
 
+def float_array(x) -> np.ndarray:
+    """x as an ndarray: a float32 array stays float32, anything else becomes float64."""
+    return np.asarray(x, dtype=np.float32 if getattr(x, "dtype", None) == np.float32
+                      else np.float64)
+
+
 def _as_array(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
+    arr = float_array(x)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")
     return arr
@@ -76,8 +84,8 @@ def dense_backward(layer: DenseLayer, upstream, x, *, input_grad: bool = True) -
     With input_grad=False the same parameter grads accumulate and the input
     gradient's matmul is skipped; the return value is None.
     """
-    upstream = np.asarray(upstream, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
+    upstream = float_array(upstream)
+    x = float_array(x)
     if x.shape[-1] != layer.in_dim or upstream.shape[-1] != layer.out_dim:
         raise ValueError("upstream/x shapes do not match layer dims")
     if upstream.shape[:-1] != x.shape[:-1]:
@@ -97,13 +105,13 @@ def relu_forward(x, out: np.ndarray | None = None) -> np.ndarray:
     x > 0 exactly where the result is > 0 (NaN and -0.0 included), so
     relu_backward gives the same mask whether it sees the input or the output.
     """
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0, out=out)
+    return np.maximum(float_array(x), 0.0, out=out)
 
 
 def relu_backward(upstream, x, out: np.ndarray | None = None) -> np.ndarray:
     """upstream where x > 0, else 0; pass `out=upstream` to mask it in place."""
     # relu'(0) = 0: the strict inequality makes the choice explicit.
-    return np.multiply(np.asarray(upstream, dtype=np.float64), np.asarray(x) > 0.0, out=out)
+    return np.multiply(float_array(upstream), np.asarray(x) > 0.0, out=out)
 
 
 def sigmoid_forward(x, out: np.ndarray | None = None) -> np.ndarray:
@@ -114,7 +122,7 @@ def sigmoid_forward(x, out: np.ndarray | None = None) -> np.ndarray:
     result stays strictly positive, unlike 0.5 * (1 + tanh(x / 2)). Every
     step runs in one array: a fresh one, or `out`, which may be x itself.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = float_array(x)
     y = np.negative(x, out=np.empty_like(x) if out is None else out)
     with np.errstate(over="ignore"):
         np.exp(y, out=y)
@@ -124,22 +132,26 @@ def sigmoid_forward(x, out: np.ndarray | None = None) -> np.ndarray:
 
 def sigmoid_backward(upstream, y, out: np.ndarray | None = None) -> np.ndarray:
     """Backward through sigmoid given its forward *output* y; `out` may be upstream."""
-    y = np.asarray(y, dtype=np.float64)
-    grad = np.multiply(np.asarray(upstream, dtype=np.float64), y, out=out)
+    y = float_array(y)
+    grad = np.multiply(float_array(upstream), y, out=out)
     grad *= 1.0 - y
     return grad
 
 
 def mse_loss(pred, target) -> tuple[float, np.ndarray]:
-    """Mean squared error over every element, with its gradient wrt pred."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
+    """Mean squared error over every element, with its gradient wrt pred.
+
+    The loss is summed in float64 whatever the input's dtype; the gradient
+    keeps the dtype of pred - target.
+    """
+    pred = float_array(pred)
+    target = float_array(target)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
     if pred.size == 0:
         raise ValueError("loss over an empty tensor is undefined")
     diff = pred - target
-    loss = float(np.mean(diff * diff))
+    loss = float(np.mean(diff * diff, dtype=np.float64))
     diff *= 2.0
     diff /= pred.size
     return loss, diff

@@ -387,6 +387,32 @@ def test_repeat_runs_are_byte_identical_except_timing(data_csv, tmp_path):
         assert digests[0] == digests[1], name
 
 
+def test_train_writes_the_same_bytes_on_one_and_two_blas_threads(tmp_path):
+    # The float32 steps' rounding depends on the BLAS kernels, not on how many
+    # threads share a product. At L=O=96 and 3 channels the step's GEMMs are
+    # large enough that OpenBLAS may split them across threads.
+    series = synth_series("sinusoid_mix", 1200, 3, noise_std=0.1, seed=3)
+    data = write_series_csv(series, tmp_path / "series.csv")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "fecam.cli", "train", "--data", str(data), "--lookback", "96",
+             "--horizon", "96", "--split", "7:2:2", "--epochs", "2", "--lr", "1e-3", "--seed", "3",
+             "--ablation", "--out", str(out)], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        digests.append({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                        for pattern in ("model_*.json", "metrics_*.json")
+                        for path in sorted(out.glob(pattern))})
+    assert len(digests[0]) == 4
+    assert digests[0] == digests[1]
+    versions = json.loads((out / "manifest.json").read_text())["versions"]
+    assert versions["blas"] and versions["blas_version"]
+
+
 def test_env_var_overrides_out_flag(data_csv, tmp_path, monkeypatch):
     env_dir = tmp_path / "from_env"
     monkeypatch.setenv("FECAM_OUT", str(env_dir))

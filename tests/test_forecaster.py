@@ -374,6 +374,87 @@ def test_train_does_not_ask_for_the_input_gradient(monkeypatch):
     assert asked and not any(asked)
 
 
+def model_step(model, x, y):
+    """One zero_grad -> forward -> loss -> backward on model; returns (pred, cache, d_loss)."""
+    model.zero_grad()
+    cache = {}
+    pred = model_forward(model, x, cache)
+    _, d_loss = mse_loss(pred, y)
+    model_backward(model, d_loss, cache)
+    return pred, cache, d_loss
+
+
+def float32_twin(model):
+    """A float32 model holding model's weights, as train builds for its steps."""
+    twin = ForecastModel(model.lookback, model.horizon, model.reduction,
+                         with_fecam=model.fecam is not None, dtype=np.float32)
+    np.copyto(twin.values, model.values)
+    return twin
+
+
+@pytest.mark.parametrize("with_fecam", [True, False], ids=["fecam", "plain"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_a_step_keeps_the_dtype_it_is_given(dtype, with_fecam):
+    # One float64 array anywhere in the float32 step would promote every later
+    # product, so train would run at float64 speed and nothing else would fail.
+    train_ds, _, _ = tiny_pipeline(lookback=16, horizon=8, channels=3)
+    model = build_model(TrainConfig(lookback=16, horizon=8, seed=4), with_fecam=with_fecam)
+    if dtype is np.float32:
+        model = float32_twin(model)
+    idx = np.random.default_rng(2).permutation(train_ds.n_windows)[:32]
+    pred, cache, d_loss = model_step(model, train_ds.inputs[idx].astype(dtype),
+                                     train_ds.targets[idx].astype(dtype))
+    assert sorted(cache) == (["att", "folded", "h1", "proj_in", "x"] if with_fecam else ["proj_in"])
+    arrays = {"pred": pred, "d_loss": d_loss, "grads": model.grads, **cache}
+    assert {name: a.dtype for name, a in arrays.items()} == dict.fromkeys(arrays, np.dtype(dtype))
+
+
+def test_train_steps_a_float32_model_and_updates_the_float64_one(monkeypatch):
+    train_ds, val_ds, _ = tiny_pipeline()
+    cfg = TrainConfig(lookback=16, horizon=8, lr=1e-3, epochs=1)
+    seen = []
+
+    def spy(model, x, cache=None):
+        seen.append((model.values.dtype.name, np.asarray(x).dtype.name, cache is not None))
+        return model_forward(model, x, cache)
+
+    monkeypatch.setattr(forecaster, "model_forward", spy)
+    model, _ = train(build_model(cfg), train_ds, val_ds, cfg)
+    steps = [(values, x) for values, x, cached in seen if cached]
+    scores = [(values, x) for values, x, cached in seen if not cached]
+    assert len(steps) == -(-train_ds.n_windows // cfg.batch_size)
+    assert set(steps) == {("float32", "float32")}
+    assert scores and set(scores) == {("float64", "float64")}  # validation stays float64
+    assert model.values.dtype == model.grads.dtype == np.float64
+
+
+def test_float32_step_grads_match_a_float64_step():
+    # Tolerance 1e-4 on each array's ||g32 - g64|| / ||g64||: float32 rounds at
+    # 6e-8, and the weight gradients sum B*C = 128 terms each, so rounding alone
+    # stays near sqrt(128) * 6e-8 ~ 7e-7. This test's worst array reads 6.4e-7;
+    # a wrong or missing gradient term reads O(1).
+    train_ds, val_ds, _ = tiny_pipeline(lookback=96, horizon=96, channels=4, length=1200)
+    cfg = TrainConfig(lookback=96, horizon=96, lr=3e-3, epochs=3, lr_decay=1.0,
+                      early_stop_patience=3, seed=1)
+    untrained = build_model(cfg)
+    trained, _ = train(build_model(cfg), train_ds, val_ds, cfg)
+    worst = 0.0
+    for model in (untrained, trained):
+        twin = float32_twin(model)
+        for seed in range(3):
+            idx = np.random.default_rng(seed).permutation(train_ds.n_windows)[:32]
+            x, y = train_ds.inputs[idx], train_ds.targets[idx]
+            model_step(twin, x.astype(np.float32), y.astype(np.float32))
+            model_step(model, x, y)
+            for prefix, layer in model.layers.items():
+                twin_layer = twin.layers[prefix]
+                for name in ("weight_grad", "bias_grad"):
+                    want = getattr(layer, name)
+                    error = np.linalg.norm(getattr(twin_layer, name) - want)
+                    worst = max(worst, error / np.linalg.norm(want))
+    assert 0.0 < worst <= 1e-4
+
+
 @pytest.mark.parametrize("with_fecam", [True, False], ids=["fecam", "plain"])
 def test_parameters_live_in_one_flat_vector(with_fecam):
     model = build_model(TrainConfig(lookback=16, horizon=8, seed=6), with_fecam=with_fecam)
