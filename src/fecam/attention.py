@@ -122,12 +122,11 @@ def fecam_forward(x, block: Excitation, cache: dict | None = None) -> tuple[np.n
     activations fecam_backward needs.
     """
     x = _check_input(x, block)
-    folded = _folded_weight(block)
-    h1, att = _excite(x.reshape(-1, block.size), block, folded)
+    h1, att = _excite(x.reshape(-1, block.size), block, _folded_weight(block))
     att = att.reshape(x.shape)
     out = x * att
     if cache is not None:
-        cache.update(x=x, folded=folded, h1=h1, att=att)
+        cache.update(x=x, h1=h1, att=att)
     return out, att
 
 
@@ -157,11 +156,12 @@ def fecam_backward(upstream, block: Excitation, cache: dict, *,
 
     Parameter gradients accumulate into the block's buffers. With the rows of
     x flattened to (B*C, L), the first weight's gradient is D (x^T dz1) and
-    the input gradient flows back through the folded weight D^T W1. Training
-    reads only the parameter gradients, so it passes input_grad=False: the
-    same gradients accumulate, the input gradient's matmul and product are
-    skipped, and None is returned. The sigmoid and ReLU backward passes
-    overwrite the fresh arrays they are given rather than allocate their own.
+    the input gradient flows back through D^T W1, refolded from the unchanged
+    W1. Training reads only the parameter gradients, so it passes
+    input_grad=False: the same gradients accumulate, the input gradient's
+    matmul and product are skipped, and None is returned. The sigmoid and
+    ReLU backward passes overwrite the fresh arrays they are given rather
+    than allocate their own.
     """
     if not cache:
         raise ValueError("fecam_backward needs the cache filled by fecam_forward")
@@ -182,7 +182,7 @@ def fecam_backward(upstream, block: Excitation, cache: dict, *,
     block.excite1.bias_grad += d_z1.sum(axis=0)
     if not input_grad:
         return None
-    d_x = (d_z1 @ cache["folded"].T).reshape(x.shape)
+    d_x = (d_z1 @ _folded_weight(block).T).reshape(x.shape)
     d_x += upstream * att
     return d_x
 

@@ -2,7 +2,8 @@
 
 Five subcommands: train (fit/evaluate, optionally both ablation arms), gibbs
 (overshoot sweep with plottable partial-sum curves), compaction (truncated
-reconstruction error tables), attention (heatmap export from a checkpoint),
+reconstruction error tables), attention (heatmap export from a checkpoint,
+over windows prepared with the data settings train recorded in its meta),
 and theorems (randomized verification suite). A command only computes: it
 returns its exit code and the files to write, and main() creates the output
 directory, writes them, and adds manifest.json (the exact invocation, config,
@@ -11,8 +12,9 @@ directory alone) and timing.json (wall time, the one file that differs between
 repeat runs).
 
 Exit codes: 0 success, 1 property failure, 2 usage or config error (or an
-unusable path, or an input too large for memory), 3 numerical divergence. The FECAM_OUT
-environment variable, when set, takes precedence over --out.
+unusable path, a wrong-typed checkpoint meta value, or an input too large for
+memory), 3 numerical divergence. The FECAM_OUT environment variable, when set,
+takes precedence over --out.
 """
 
 from __future__ import annotations
@@ -71,6 +73,10 @@ from .spectral import (
 )
 
 SPLIT_PRESETS = {"conventional": (0.7, 0.1, 0.2)}
+# How a CSV becomes windows: train's flag defaults, which its checkpoint's
+# meta records under these keys; attention reads them back, a missing key
+# taking its default.
+DATA_DEFAULTS = {"date_column": 0, "fill_policy": "reject", "split": "7:2:2", "channel": None}
 
 
 def _parse_ratios(text: str):
@@ -186,7 +192,8 @@ def cmd_train(args) -> tuple[int, dict]:
         files[f"loss_history{suffix}.csv"] = functools.partial(
             write_csv, header=["epoch", "train_loss", "val_loss"], rows=history)
         files[f"model{suffix}.json"] = functools.partial(
-            save_model, model=model, meta={"dataset": Path(args.data).name})
+            save_model, model=model, meta={"dataset": Path(args.data).name,
+                                           **{key: getattr(args, key) for key in DATA_DEFAULTS}})
     if args.ablation:
         fecam_mse, plain_mse = test_mse["fecam"], test_mse["plain"]
         files["ablation.json"] = functools.partial(_write_json, payload={
@@ -252,9 +259,16 @@ def cmd_compaction(args) -> tuple[int, dict]:
 
 
 def cmd_attention(args) -> tuple[int, dict]:
-    model, _ = load_model(args.checkpoint)
+    model, meta = load_model(args.checkpoint)
     if model.fecam is None:
         raise ValueError("checkpoint has no attention layer (trained with --ablation plain arm?)")
+    # The windows are prepared as training prepared them; meta is outside input.
+    for key, default in DATA_DEFAULTS.items():
+        value = meta.get(key, default)
+        if not isinstance(value, str) and type(value) is not type(default):
+            raise ValueError(f"{args.checkpoint}: meta {key!r} must be a string or "
+                             f"{type(default).__name__}, got {value!r}")
+        setattr(args, key, value)
     _, _, (_, _, test_ds) = _prepared_windows(args, model.lookback, model.horizon)
 
     mean_att = mean_attention(test_ds.inputs, model.fecam)
@@ -326,18 +340,6 @@ def cmd_theorems(args) -> tuple[int, dict]:
     return (1 if failures else 0), {"theorems.json": functools.partial(_write_json, payload=report)}
 
 
-def _add_data_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--data", type=Path, required=True, help="input CSV path")
-    parser.add_argument("--date-column", default=0,
-                        type=lambda s: int(s) if s.lstrip("-").isdigit() else s,
-                        help="timestamp column, by name or index (default: first column)")
-    parser.add_argument("--fill-policy", choices=FILL_POLICIES, default="reject")
-    parser.add_argument("--split", default="7:2:2",
-                        help="a:b:c ratios (e.g. 7:2:2, 3:1:1) or the preset conventional")
-    parser.add_argument("--channel", default=None,
-                        help="restrict to one channel by name (univariate run)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fecam",
@@ -345,7 +347,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="fit the forecaster and report test metrics")
-    _add_data_flags(p_train)
+    p_train.add_argument("--data", type=Path, required=True, help="input CSV path")
+    p_train.add_argument("--date-column",
+                         type=lambda s: int(s) if s.lstrip("-").isdigit() else s,
+                         help="timestamp column, by name or index (default: first column)")
+    p_train.add_argument("--fill-policy", choices=FILL_POLICIES)
+    p_train.add_argument("--split",
+                         help="a:b:c ratios (e.g. 7:2:2, 3:1:1) or the preset conventional")
+    p_train.add_argument("--channel", help="restrict to one channel by name (univariate run)")
+    p_train.set_defaults(**DATA_DEFAULTS)
     # One flag per TrainConfig field, with its default; manifest.json lists them in field order.
     for f in dataclasses.fields(TrainConfig):
         p_train.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default),
@@ -369,8 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.set_defaults(func=cmd_compaction)
 
     p_att = sub.add_parser("attention", help="export a checkpoint's attention heatmap")
-    p_att.add_argument("--checkpoint", type=Path, required=True)
-    _add_data_flags(p_att)
+    p_att.add_argument("--checkpoint", type=Path, required=True,
+                       help="a model file from train, whose meta says how to window --data")
+    p_att.add_argument("--data", type=Path, required=True, help="input CSV path")
     p_att.set_defaults(func=cmd_attention)
 
     p_thm = sub.add_parser("theorems", help="randomized verification of the transform identities")

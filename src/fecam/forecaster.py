@@ -304,7 +304,7 @@ def _array(arrays: dict[str, np.ndarray], name: str) -> np.ndarray:
 
 
 def load_model(path) -> tuple[ForecastModel, dict]:
-    """Rebuild a model from a checkpoint; returns (model, checkpoint meta), meta unread.
+    """Rebuild a model from a checkpoint; returns (model, meta), meta unchecked for the caller.
 
     Sizes come from arrays the file holds, checked before any weight is drawn,
     so they bound every allocation: L and O from projection.weight (L x O), the

@@ -10,6 +10,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -22,6 +23,7 @@ import pytest
 
 from fecam import attention, cli, forecaster, spectral
 from fecam.data import (
+    RawSeries,
     chronological_split,
     fit_standardizer,
     load_csv,
@@ -299,7 +301,8 @@ def test_train_ablation_writes_both_arms(data_csv, tmp_path):
     for arm, with_fecam in (("fecam", True), ("plain", False)):
         model, meta = load_model(out / f"model_{arm}.json")
         assert (model.fecam is not None) is with_fecam
-        assert meta == {"dataset": "synth.csv"}
+        assert meta == {"dataset": "synth.csv", "date_column": 0, "fill_policy": "reject",
+                        "split": "7:2:2", "channel": None}
     assert (out / "loss_history_fecam.csv").exists()
     for arm, metrics in (("fecam", fecam_m), ("plain", plain_m)):
         assert metrics["arm"] == arm
@@ -591,13 +594,13 @@ def test_compaction_non_positive_length_exits_2(tmp_path, capsys, argv):
 
 # --- attention -----------------------------------------------------------------------
 
-def make_checkpoint(tmp_path, zero=False, with_fecam=True):
+def make_checkpoint(tmp_path, zero=False, with_fecam=True, meta=None, name="ckpt.json"):
     model = ForecastModel(32, 16, with_fecam=with_fecam, seed=3)
     if zero and with_fecam:
         for value, _ in param_pairs(model.fecam.excite1, model.fecam.excite2):
             value[:] = 0.0
-    path = tmp_path / "ckpt.json"
-    save_model(path, model)
+    path = tmp_path / name
+    save_model(path, model, meta)
     return path
 
 
@@ -687,7 +690,7 @@ def test_streamed_attention_mean_matches_concatenated_mean(tmp_path, monkeypatch
     # ten batches of 64 and one of 13.
     path = write_series_csv(synth_series("sinusoid_mix", 1400, 3, noise_std=0.1, seed=8),
                             tmp_path / "long.csv")
-    ckpt = make_checkpoint(tmp_path)
+    ckpt = make_checkpoint(tmp_path, meta={"split": "1:1:2"})
     batches, written = [], []
     excite, export = attention._excite, cli.export_attention
 
@@ -703,7 +706,7 @@ def test_streamed_attention_mean_matches_concatenated_mean(tmp_path, monkeypatch
     monkeypatch.setattr(cli, "export_attention", spy_export)
     out = tmp_path / "att"
     assert cli.main(["attention", "--checkpoint", str(ckpt), "--data", str(path),
-                     "--split", "1:1:2", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
     assert forecaster.INFERENCE_BATCH == 64 and batches == [64] * 10 + [13]
 
     # The reference is the concatenate-then-mean over the same batches.
@@ -720,6 +723,87 @@ def test_streamed_attention_mean_matches_concatenated_mean(tmp_path, monkeypatch
     assert float(np.max(np.abs(written[0] - whole))) <= 1e-12
     rows = np.loadtxt(out / "attention.csv", delimiter=",", skiprows=1)
     np.testing.assert_allclose(rows, reference, rtol=1e-8)
+
+
+DEFAULT_SETTINGS = {"date_column": 0, "fill_policy": "reject", "split": "7:2:2", "channel": None}
+
+
+def reference_attention(ckpt, data, path, date_column, fill_policy, split, channel) -> bytes:
+    """attention.csv's bytes for these data settings, built without the command."""
+    model, _ = load_model(ckpt)
+    series = load_csv(data, date_column=date_column, fill_policy=fill_policy)
+    if channel is not None:
+        idx = series.channel_names.index(channel)
+        series = RawSeries(series.observations[:, idx:idx + 1], [channel])
+    ratios = [float(r) for r in split.split(":")]
+    splits = chronological_split(series, ratios, min_slice_len=model.lookback + model.horizon)
+    test_ds = make_windows(fit_standardizer(splits[0]).apply(splits[2]),
+                           model.lookback, model.horizon)
+    attention.export_attention(attention.mean_attention(test_ds.inputs, model.fecam), path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("settings", [{}, {"channel": "ch1", "split": "3:1:1"},
+                                      {"fill_policy": "ffill"}],
+                         ids=["meta-none", "channel-split", "ffill-blank-cell"])
+def test_attention_prepares_windows_as_the_checkpoint_records(data_csv, tmp_path, settings):
+    data = data_csv
+    if settings:
+        if "fill_policy" in settings:  # a blank cell, which the default policy refuses
+            lines = data_csv.read_text().splitlines()
+            lines[60] = lines[60].rsplit(",", 1)[0] + ","
+            data = tmp_path / "blank.csv"
+            data.write_text("\n".join(lines) + "\n")
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in settings.items()]
+        assert run_train(data, tmp_path / "run", *flags) == 0
+        ckpt = tmp_path / "run" / "model.json"
+    else:
+        ckpt = make_checkpoint(tmp_path, meta=None)
+    out = tmp_path / "att"
+    assert cli.main(["attention", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(out)]) == 0
+
+    used = {**DEFAULT_SETTINGS, **settings}
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert {key: config[key] for key in used} == used
+    expected = reference_attention(ckpt, data, tmp_path / "reference.csv", **used)
+    assert (out / "attention.csv").read_bytes() == expected
+    header = (out / "attention.csv").read_text().splitlines()[0]
+    assert header == ("channel_0" if "channel" in settings else "channel_0,channel_1,channel_2")
+
+
+def test_attention_takes_no_data_flags(data_csv, tmp_path, capsys):
+    ckpt = make_checkpoint(tmp_path)
+    for flag in ("--date-column=0", "--fill-policy=reject", "--split=3:1:1", "--channel=ch1"):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["attention", "--checkpoint", str(ckpt), "--data", str(data_csv), flag,
+                      "--out", str(out)])
+        assert excinfo.value.code == 2 and not out.exists()
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["attention", "--help"])
+    assert excinfo.value.code == 0
+    options = set(re.findall(r"(?<![\w-])--[a-z-]+", capsys.readouterr().out))
+    assert options == {"--help", "--checkpoint", "--data", "--out"}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("date_column", True), ("date_column", None), ("date_column", 1.0), ("fill_policy", None),
+    ("split", [3, 1, 1]), ("split", 7), ("channel", 1), ("channel", ["ch1"]),
+])
+def test_attention_wrong_typed_meta_setting_exits_2(data_csv, tmp_path, capsys, key, value):
+    ckpt = make_checkpoint(tmp_path, meta={key: value})
+    argv = ["attention", "--checkpoint", str(ckpt), "--data", str(data_csv)]
+    err = assert_input_error(argv, tmp_path / "x", capsys)
+    assert f"{ckpt}: meta {key!r}" in err
+
+
+def test_attention_on_a_csv_without_the_checkpoint_channel_exits_2(data_csv, tmp_path, capsys):
+    argv = ["attention", "--checkpoint", str(make_checkpoint(tmp_path, meta={"channel": "ch9"})),
+            "--data", str(data_csv)]
+    assert "no channels named 'ch9'" in assert_input_error(argv, tmp_path / "x", capsys)
 
 
 DROP = object()
@@ -966,6 +1050,9 @@ FUZZ_FLAGS = {
     "compaction": {"--length": INTS, "--components": LISTS, "--signal": ["ramp", "sawtooth"]},
     "theorems": {"--trials": INTS, "--max-len": INTS, "--seed": INTS},
 }
+# Structural keys earlier files carried, which the loader reads none of, and
+# the data settings attention reads.
+META_KEYS = ["lookback", "horizon", "reduction", "with_fecam", *DEFAULT_SETTINGS]
 META_VALUES = [DROP, None, -1, 0, 32.9, "32", True, [32], 4000, 2 ** 70]
 ARRAY_EDITS = [("shape", DROP), ("shape", [-1]), ("shape", [2 ** 70]), ("shape", "16"),
                ("data", DROP), ("data", "abc"), ("data", [None]),
@@ -976,7 +1063,7 @@ def fuzz_checkpoint(rng, payload: dict, path) -> None:
     """Write payload with its meta, one array entry, or the file text broken."""
     kind = int(rng.integers(3))
     if kind == 0:
-        key = ["lookback", "horizon", "reduction", "with_fecam"][int(rng.integers(4))]
+        key = META_KEYS[int(rng.integers(len(META_KEYS)))]
         payload = edited(payload, ("meta", key), META_VALUES[int(rng.integers(len(META_VALUES)))])
     elif kind == 1:
         name = sorted(payload["arrays"])[int(rng.integers(len(payload["arrays"])))]
@@ -1050,8 +1137,9 @@ def test_fuzzed_flags_and_checkpoints_keep_the_failure_contract(data_csv, tmp_pa
         "theorems": ["theorems", "--trials", "5", "--max-len", "16"],
     }
     pristine = json.loads(make_checkpoint(tmp_path).read_text())
-    # The meta branch edits the structural keys earlier files carried; the loader reads none.
-    pristine["meta"] = {"lookback": 32, "horizon": 16, "reduction": 2, "with_fecam": True}
+    # The meta branch edits one of META_KEYS, each set as an earlier file or train set it.
+    pristine["meta"] = {"lookback": 32, "horizon": 16, "reduction": 2, "with_fecam": True,
+                        **DEFAULT_SETTINGS}
     rng = np.random.default_rng(20261018)
     codes = []
     for case in range(40):
@@ -1091,15 +1179,19 @@ def test_fuzzed_flags_and_checkpoints_keep_the_failure_contract(data_csv, tmp_pa
     # Broken data files, for train and attention: exit 0, 2 or 3, never a traceback.
     csv_rng = np.random.default_rng(20261019)
     csv_codes = []
-    ckpt = make_checkpoint(tmp_path)
+    policies = ["reject", "ffill"]
+    ckpts = [make_checkpoint(tmp_path, meta={"fill_policy": policy}, name=f"ckpt_{policy}.json")
+             for policy in policies]
     for case in range(30):
         path = tmp_path / f"data{case}.csv"
         path.write_text(fuzz_csv(csv_rng, data_csv.read_text()), newline="")
-        if csv_rng.integers(2):
-            argv = ["attention", "--checkpoint", str(ckpt)]
+        command, policy = csv_rng.integers(2), int(csv_rng.integers(2))
+        if command:  # attention reads its fill policy from the checkpoint
+            argv = ["attention", "--checkpoint", str(ckpts[policy])]
         else:
-            argv = ["train", "--lookback", "16", "--horizon", "8", "--epochs", "1"]
-        argv += ["--data", str(path), "--fill-policy", ["reject", "ffill"][int(csv_rng.integers(2))]]
+            argv = ["train", "--lookback", "16", "--horizon", "8", "--epochs", "1",
+                    "--fill-policy", policies[policy]]
+        argv += ["--data", str(path)]
         out = tmp_path / f"csv_out{case}"
         code = cli.main([*argv, "--out", str(out)])
         err = capsys.readouterr().err

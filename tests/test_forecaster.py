@@ -404,7 +404,7 @@ def test_a_step_keeps_the_dtype_it_is_given(dtype, with_fecam):
     idx = np.random.default_rng(2).permutation(train_ds.n_windows)[:32]
     pred, cache, d_loss = model_step(model, train_ds.inputs[idx].astype(dtype),
                                      train_ds.targets[idx].astype(dtype))
-    assert sorted(cache) == (["att", "folded", "h1", "proj_in", "x"] if with_fecam else ["proj_in"])
+    assert sorted(cache) == (["att", "h1", "proj_in", "x"] if with_fecam else ["proj_in"])
     arrays = {"pred": pred, "d_loss": d_loss, "grads": model.grads, **cache}
     assert {name: a.dtype for name, a in arrays.items()} == dict.fromkeys(arrays, np.dtype(dtype))
 
