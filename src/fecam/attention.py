@@ -14,6 +14,8 @@ identity as `gap_link`.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .data import write_csv
@@ -85,27 +87,30 @@ class Excitation:
         self.excite2 = DenseLayer(hidden, size, rng)
 
 
-def _folded_weight(block: Excitation) -> np.ndarray:
-    """D^T W1: the cosine transform folded into the first excitation layer.
+@lru_cache(maxsize=2)
+def _basis(length: int, dtype: np.dtype) -> np.ndarray:
+    """The orthonormal cosine basis D in `dtype`, read-only: dct_matrix's own for float64."""
+    basis = dct_matrix(length, ORTHO).astype(dtype, copy=False)
+    basis.setflags(write=False)
+    return basis
 
-    Formed in float64 and returned in W1's dtype, so a float32 block's later
-    products are not promoted by the float64 basis.
-    """
+
+def _folded_weight(block: Excitation) -> np.ndarray:
+    """D^T W1: the cosine transform folded into the first excitation layer, in W1's dtype."""
     weight = block.excite1.weight
-    return (dct_matrix(block.size, ORTHO).T @ weight).astype(weight.dtype, copy=False)
+    return _basis(block.size, weight.dtype).T @ weight
 
 
 def _excite(rows: np.ndarray, block: Excitation, folded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(ReLU activations, attention) of (rows, length) time-domain rows.
 
-    The ReLU and the sigmoid overwrite the matmuls' fresh outputs in place.
+    The ReLU and the sigmoid, which adds the second bias, overwrite the matmuls' outputs.
     """
     h1 = rows @ folded
     h1 += block.excite1.bias
     relu_forward(h1, out=h1)
     att = h1 @ block.excite2.weight
-    att += block.excite2.bias
-    return h1, sigmoid_forward(att, out=att)
+    return h1, sigmoid_forward(att, block.excite2.bias, out=att)
 
 
 def fecam_forward(x, block: Excitation, cache: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -176,9 +181,7 @@ def fecam_backward(upstream, block: Excitation, cache: dict, *,
     d_z1 = dense_backward(block.excite2, d_z2, h1)
     del d_z2  # so the input gradient is not allocated while it is held
     relu_backward(d_z1, h1, out=d_z1)
-    # As for the fold, the float64 basis makes this product float64 for a
-    # float32 block; the sum is cast back into the gradient's dtype.
-    block.excite1.weight_grad += dct_matrix(block.size, ORTHO) @ (rows.T @ d_z1)
+    block.excite1.weight_grad += _basis(block.size, d_z1.dtype) @ (rows.T @ d_z1)
     block.excite1.bias_grad += d_z1.sum(axis=0)
     if not input_grad:
         return None

@@ -12,7 +12,7 @@ directory alone) and timing.json (wall time, the one file that differs between
 repeat runs).
 
 Exit codes: 0 success, 1 property failure, 2 usage or config error (or an
-unusable path, a wrong-typed checkpoint meta value, or an input too large for
+unusable path or checkpoint meta value, or an input too large for
 memory), 3 numerical divergence. The FECAM_OUT environment variable, when set,
 takes precedence over --out.
 """
@@ -38,6 +38,7 @@ from .attention import export_attention, mean_attention
 from .data import (
     FILL_POLICIES,
     RawSeries,
+    SettingError,
     chronological_split,
     fit_standardizer,
     load_csv,
@@ -85,8 +86,8 @@ def _parse_ratios(text: str):
     try:
         a, b, c = (float(p) for p in text.split(":"))
     except ValueError:
-        raise ValueError(f"split must be a:b:c numbers or a preset {sorted(SPLIT_PRESETS)}, "
-                         f"got {text!r}") from None
+        raise SettingError("split", f"split must be a:b:c numbers or a preset "
+                                    f"{sorted(SPLIT_PRESETS)}, got {text!r}") from None
     return a, b, c
 
 
@@ -105,11 +106,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_manifest(out_dir: Path, args, argv: list[str]) -> None:
-    config = {}
-    for key, value in vars(args).items():
-        if key == "func":
-            continue
-        config[key] = str(value) if isinstance(value, Path) else value
+    config = {key: str(value) if isinstance(value, Path) else value
+              for key, value in vars(args).items() if key != "func"}
     # float32 training's bits depend on the BLAS kernels, so the BLAS is named too.
     blas = {}
     with contextlib.suppress(TypeError, KeyError):  # show_config(mode=) needs numpy >= 1.25
@@ -133,20 +131,21 @@ def _select_channel(series: RawSeries, channel: str | None) -> RawSeries:
         return series
     matches = series.channel_names.count(channel)
     if matches != 1:
-        raise ValueError(f"{matches or 'no'} channels named {channel!r}; "
-                         f"file has {series.channel_names}")
+        raise SettingError("channel", f"{matches or 'no'} channels named {channel!r}; "
+                                      f"file has {series.channel_names}")
     idx = series.channel_names.index(channel)
     return RawSeries(series.observations[:, idx:idx + 1], [channel])
 
 
-def _prepared_windows(args, lookback: int, horizon: int):
-    """Shared load -> select -> split -> standardize -> window pipeline."""
+def _prepared_windows(args, lookback: int, horizon: int, train_dtype=np.float64):
+    """Load -> select -> split -> standardize -> window; the train split comes in train_dtype."""
     series = load_csv(args.data, date_column=args.date_column, fill_policy=args.fill_policy)
     series = _select_channel(series, args.channel)
     ratios = _parse_ratios(args.split)
     splits = chronological_split(series, ratios, min_slice_len=lookback + horizon)
     scaler = fit_standardizer(splits[0])
-    windows = tuple(make_windows(scaler.apply(s), lookback, horizon) for s in splits)
+    windows = tuple(make_windows(scaler.apply(s).astype(dtype, copy=False), lookback, horizon)
+                    for s, dtype in zip(splits, (train_dtype, np.float64, np.float64)))
     return series, splits, windows
 
 
@@ -168,7 +167,7 @@ def _metrics_payload(args, config: TrainConfig, report, history) -> dict:
 def cmd_train(args) -> tuple[int, dict]:
     config = TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)})
     series, splits, (train_ds, val_ds, test_ds) = _prepared_windows(
-        args, config.lookback, config.horizon)
+        args, config.lookback, config.horizon, np.float32)
     summary = series_summary(series, splits)
     baseline = persistence_report(test_ds)
 
@@ -262,14 +261,17 @@ def cmd_attention(args) -> tuple[int, dict]:
     model, meta = load_model(args.checkpoint)
     if model.fecam is None:
         raise ValueError("checkpoint has no attention layer (trained with --ablation plain arm?)")
-    # The windows are prepared as training prepared them; meta is outside input.
-    for key, default in DATA_DEFAULTS.items():
-        value = meta.get(key, default)
-        if not isinstance(value, str) and type(value) is not type(default):
-            raise ValueError(f"{args.checkpoint}: meta {key!r} must be a string or "
-                             f"{type(default).__name__}, got {value!r}")
-        setattr(args, key, value)
-    _, _, (_, _, test_ds) = _prepared_windows(args, model.lookback, model.horizon)
+    # Prepare windows as training did; an unusable meta setting names the checkpoint and key.
+    try:
+        for key, default in DATA_DEFAULTS.items():
+            value = meta.get(key, default)
+            if not isinstance(value, str) and type(value) is not type(default):
+                raise SettingError(key, f"must be a string or {type(default).__name__}, "
+                                        f"got {value!r}")
+            setattr(args, key, value)
+        _, _, (_, _, test_ds) = _prepared_windows(args, model.lookback, model.horizon)
+    except SettingError as exc:
+        raise ValueError(f"{args.checkpoint}: meta {exc.key!r}: {exc}") from None
 
     mean_att = mean_attention(test_ds.inputs, model.fecam)
     return 0, {"attention.csv": functools.partial(export_attention, mean_att)}

@@ -36,6 +36,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 FILL_POLICIES = ("reject", "ffill")
 
 
+class SettingError(ValueError):
+    """A data setting's value that cannot be used; `key` names the setting, such as "split"."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
+
+
 @dataclass
 class RawSeries:
     """A multivariate series: a T x C matrix of values in time order and its
@@ -84,11 +92,12 @@ def _columns(header: list[str], date_column: str | int) -> tuple[int, list[str]]
     if isinstance(date_column, int):
         ts_index = date_column
         if not 0 <= ts_index < len(header):
-            raise ValueError(f"timestamp column index {ts_index} out of range")
+            raise SettingError("date_column", f"timestamp column index {ts_index} out of range")
     else:
         matches = header.count(date_column)
         if matches != 1:
-            raise ValueError(f"{matches or 'no'} columns named {date_column!r} in header")
+            raise SettingError("date_column",
+                               f"{matches or 'no'} columns named {date_column!r} in header")
         ts_index = header.index(date_column)
     return ts_index, [h for i, h in enumerate(header) if i != ts_index]
 
@@ -116,7 +125,8 @@ def load_csv(path, date_column: str | int = 0, fill_policy: str = "reject") -> R
     by row (see _read_validating), to the same series.
     """
     if fill_policy not in FILL_POLICIES:
-        raise ValueError(f"fill_policy must be one of {FILL_POLICIES}, got {fill_policy!r}")
+        raise SettingError("fill_policy",
+                           f"fill_policy must be one of {FILL_POLICIES}, got {fill_policy!r}")
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such file: {path}")
@@ -306,12 +316,13 @@ def chronological_split(series: RawSeries, ratios, min_slice_len: int = 1):
     """
     ratios = [float(r) for r in ratios]
     if len(ratios) != 3 or not all(0 < r < np.inf for r in ratios):
-        raise ValueError(f"need three positive finite ratios, got {ratios}")
+        raise SettingError("split", f"need three positive finite ratios, got {ratios}")
     total = sum(ratios)
     t = series.length
     # Each share's numerator t * ratio is at most t * total.
     if not np.isfinite(t * total):
-        raise ValueError(f"ratios {ratios} are too large: {t} rows times their sum overflows")
+        raise SettingError("split",
+                           f"ratios {ratios} are too large: {t} rows times their sum overflows")
     n_val = int(t * ratios[1] / total)
     n_test = int(t * ratios[2] / total)
     n_train = t - n_val - n_test

@@ -188,15 +188,15 @@ def train(model: ForecastModel, train_ds: WindowedDataset, val_ds: WindowedDatas
           config: TrainConfig) -> tuple[ForecastModel, list[tuple[int, float, float]]]:
     """Mini-batch Adam with early stopping; returns (model, per-epoch history).
 
-    Each batch's forward, loss and backward run in float32, on a float32 copy
-    of the model that takes the weights before the step; its gradients feed
-    Adam, which updates the float64 weights of `model`. Validation, the best
-    epoch's weights and anything scored afterwards stay float64. History
-    rows are (epoch, train_loss, val_loss), each loss summed in float64. The
-    model keeps the weights of its best validation epoch, not necessarily the
-    last one. Raises DivergenceError the moment any batch loss turns
-    non-finite or any step or validation pass overflows, a weight too large
-    for float32 included.
+    Each batch, cast to float32 unless its windows are, runs forward, loss and
+    backward on a float32 copy of the model that takes the weights before the
+    step; its gradients feed Adam, which updates the float64 weights of
+    `model`. Validation, the best epoch's weights and anything scored
+    afterwards stay float64. History rows are (epoch, train_loss, val_loss),
+    each loss summed in float64. The model keeps the weights of its best
+    validation epoch, not necessarily the last one. Raises DivergenceError
+    the moment any batch loss turns non-finite or any step or validation pass
+    overflows, a weight too large for float32 included.
     """
     _check_dataset(train_ds, model, "train")
     _check_dataset(val_ds, model, "val")
@@ -223,8 +223,8 @@ def train(model: ForecastModel, train_ds: WindowedDataset, val_ds: WindowedDatas
                     np.copyto(twin.values, model.values)
                     twin.zero_grad()
                     cache = {}
-                    pred = model_forward(twin, train_ds.inputs[idx].astype(np.float32), cache)
-                    loss, d_loss = mse_loss(pred, train_ds.targets[idx].astype(np.float32))
+                    pred = model_forward(twin, np.asarray(train_ds.inputs[idx], np.float32), cache)
+                    loss, d_loss = mse_loss(pred, np.asarray(train_ds.targets[idx], np.float32))
                     if not np.isfinite(loss):
                         raise DivergenceError(
                             f"non-finite loss at epoch {epoch}, batch starting at {start}; "

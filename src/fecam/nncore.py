@@ -30,13 +30,6 @@ def float_array(x) -> np.ndarray:
                       else np.float64)
 
 
-def _as_array(x, name: str) -> np.ndarray:
-    arr = float_array(x)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
-
-
 class DenseLayer:
     """Affine map on the last axis: y[..., :] = x[..., :] @ weight + bias.
 
@@ -66,10 +59,11 @@ class DenseLayer:
 
 
 def dense_forward(layer: DenseLayer, x) -> np.ndarray:
-    x = _as_array(x, "x")
+    x = float_array(x)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x contains non-finite values")
     if x.shape[-1] != layer.in_dim:
-        raise ValueError(
-            f"last axis is {x.shape[-1]}, layer expects {layer.in_dim}")
+        raise ValueError(f"last axis is {x.shape[-1]}, layer expects {layer.in_dim}")
     # One (rows, in_dim) product rather than numpy's stacked matmul over the
     # leading axes; reshape copies only an input that is not contiguous.
     y = x.reshape(-1, layer.in_dim) @ layer.weight
@@ -114,16 +108,18 @@ def relu_backward(upstream, x, out: np.ndarray | None = None) -> np.ndarray:
     return np.multiply(float_array(upstream), np.asarray(x) > 0.0, out=out)
 
 
-def sigmoid_forward(x, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function without branches or masks.
+def sigmoid_forward(x, bias=0.0, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function of x + bias (a bias in x's dtype), without branches or masks.
 
-    exp(-x) overflows to inf for x below about -709, and 1 / (1 + inf) is the
-    correct limit 0, so that overflow is expected and silenced. Above it the
-    result stays strictly positive, unlike 0.5 * (1 + tanh(x / 2)). Every
-    step runs in one array: a fresh one, or `out`, which may be x itself.
+    The first pass, (-bias) - x, is -(x + bias) up to a zero's sign, so the
+    bias costs no pass and changes no bit. exp(-x) overflows to inf below
+    about -709 (-88 in float32), and 1 / (1 + inf) is the correct limit 0, so
+    that overflow is expected and silenced. Above it the result stays
+    strictly positive, unlike 0.5 * (1 + tanh(x / 2)). Every step runs in one
+    array: a fresh one, or `out`, which may be x itself.
     """
     x = float_array(x)
-    y = np.negative(x, out=np.empty_like(x) if out is None else out)
+    y = np.subtract(-bias, x, out=np.empty_like(x) if out is None else out)
     with np.errstate(over="ignore"):
         np.exp(y, out=y)
     y += 1.0

@@ -6,8 +6,11 @@ benchmark does but with a few steps each, makes a change that drops or
 renames something it uses fail the test suite rather than the benchmark.
 """
 
+import ast
+import importlib
 import importlib.util
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -16,7 +19,8 @@ import pytest
 
 from fecam import cli, data
 
-WORKLOADS_PY = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS_PY = ROOT / "bench" / "workloads.py"
 
 
 @pytest.fixture(scope="module")
@@ -60,3 +64,29 @@ def test_gated_workload_csv_takes_the_fast_read(workloads, tmp_path, name):
     expected = data._read_validating(workload.csv, 0, "reject")
     assert series.channel_names == expected.channel_names
     assert series.observations.tobytes() == expected.observations.tobytes()
+
+
+def test_the_bench_finds_every_cache_it_must_clear():
+    # bench/run.py clears each cache_clear callable in the vars() of the fecam
+    # modules it names before every measured invocation, so each starts cold,
+    # as in a fresh process. A cache it cannot see would stay warm from one
+    # invocation to the next, and run_s would time a warm process.
+    run_py = ast.parse((ROOT / "bench" / "run.py").read_text())
+    named = [node.value for node in ast.walk(run_py)
+             if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "modules"]
+    assert len(named) == 1 and isinstance(named[0], ast.Dict)
+    stems = {key.value for key in named[0].keys}
+    package = ROOT / "src" / "fecam"
+    assert stems == {path.stem for path in package.glob("*.py")} - {"__init__"}
+    modules = [importlib.import_module(f"fecam.{stem}") for stem in sorted(stems)]
+    found = {id(obj) for module in modules for obj in vars(module).values()
+             if callable(getattr(obj, "cache_clear", None))}
+    cached = [f"{path.stem}.{node.name}" for path in package.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and any(re.search(r"\b(lru_cache|cache)\b", ast.unparse(d))
+                      for d in node.decorator_list)]
+    assert {"spectral.dct_matrix", "attention._basis"} <= set(cached)
+    for qualified in cached:
+        stem, name = qualified.split(".")
+        assert id(getattr(importlib.import_module(f"fecam.{stem}"), name)) in found, qualified

@@ -806,6 +806,56 @@ def test_attention_on_a_csv_without_the_checkpoint_channel_exits_2(data_csv, tmp
     assert "no channels named 'ch9'" in assert_input_error(argv, tmp_path / "x", capsys)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("date_column", 4000, "timestamp column index 4000 out of range"),
+    ("date_column", "stamp", "no columns named 'stamp' in header"),
+    ("split", "halves", "split must be a:b:c numbers or a preset"),
+    ("split", "0:1:1", "need three positive finite ratios, got [0.0, 1.0, 1.0]"),
+    ("split", "1e308:1:1", "ratios [1e+308, 1.0, 1.0] are too large"),
+    ("fill_policy", "zero", "fill_policy must be one of"),
+    ("channel", "ch9", "no channels named 'ch9'"),
+])
+def test_attention_unusable_meta_setting_names_the_checkpoint_and_key(data_csv, tmp_path, capsys,
+                                                                        key, value, message):
+    # attention has no data flags, so a message that reads as a flag's would mislead.
+    ckpt = make_checkpoint(tmp_path, meta={key: value})
+    argv = ["attention", "--checkpoint", str(ckpt), "--data", str(data_csv)]
+    err = assert_input_error(argv, tmp_path / "x", capsys)
+    assert f"error: {ckpt}: meta {key!r}: {message}" in err
+
+
+def test_attention_csv_fault_is_not_blamed_on_the_checkpoint(data_csv, tmp_path, capsys):
+    lines = data_csv.read_text().splitlines()
+    lines[60] = lines[60].rsplit(",", 1)[0] + ",abc"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    ckpt = make_checkpoint(tmp_path, meta={"split": "3:1:1"})
+    argv = ["attention", "--checkpoint", str(ckpt), "--data", str(bad)]
+    err = assert_input_error(argv, tmp_path / "x", capsys)
+    assert err == "error: line 61: unparseable value 'abc' in column 'ch2'\n"
+
+
+def test_only_train_casts_its_training_windows_to_float32(data_csv, tmp_path, monkeypatch):
+    # train's steps run in float32, so it takes its training split in float32,
+    # cast once; attention reads only the test split and casts nothing.
+    prepare, prepared = cli._prepared_windows, []
+
+    def spy(*args):
+        prepared.append(prepare(*args))
+        return prepared[-1]
+
+    monkeypatch.setattr(cli, "_prepared_windows", spy)
+    assert run_train(data_csv, tmp_path / "run") == 0
+    assert cli.main(["attention", "--checkpoint", str(tmp_path / "run" / "model.json"),
+                     "--data", str(data_csv), "--out", str(tmp_path / "att")]) == 0
+    (_, splits, windows), (_, _, att_windows) = prepared
+    assert [w.inputs.dtype for w in windows] == [np.float32, np.float64, np.float64]
+    assert [w.inputs.dtype for w in att_windows] == [np.float64] * 3
+    reference = make_windows(fit_standardizer(splits[0]).apply(splits[0]), 32, 16)
+    assert np.array_equal(windows[0].inputs, reference.inputs.astype(np.float32))
+    assert windows[0].inputs[[3, 1]].flags.c_contiguous  # channel-major, as float64 was
+
+
 DROP = object()
 
 

@@ -7,10 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fecam import attention
 from fecam.attention import (
     INFERENCE_BATCH,
     Excitation,
     _check_input,
+    _folded_weight,
     export_attention,
     fecam_backward,
     fecam_forward,
@@ -298,6 +300,32 @@ def perturbed_layer(length, seed):
     for value, _ in param_pairs(layer.excite1, layer.excite2):
         value += rng.normal(scale=0.3, size=value.shape)
     return layer
+
+
+def test_the_fold_runs_in_the_blocks_dtype():
+    # A float64 block folds with dct_matrix itself; a float32 block with one
+    # cached, read-only float32 copy of it, so no float64 product enters its step.
+    layer = perturbed_layer(96, seed=87)
+    folded = _folded_weight(layer)
+    assert folded.tobytes() == (dct_matrix(96, ORTHO).T @ layer.excite1.weight).tobytes()
+    twin = ForecastModel(96, 96, dtype=np.float32).fecam
+    for (value32, _), (value, _) in zip(param_pairs(twin.excite1, twin.excite2),
+                                        param_pairs(layer.excite1, layer.excite2)):
+        value32[:] = value
+    attention._basis.cache_clear()
+    folded32 = _folded_weight(twin)
+    basis32 = dct_matrix(96, ORTHO).astype(np.float32)
+    assert folded32.dtype == np.float32
+    assert folded32.tobytes() == (basis32.T @ twin.excite1.weight).tobytes()
+    assert np.max(np.abs(folded32 - folded)) <= 1e-5 * np.max(np.abs(folded))
+    # The weight gradient's D @ (...) product takes the same cached float32 basis.
+    x = np.asarray(channel_major_windows(32, 3, 96, seed=88), dtype=np.float32)
+    cache = {}
+    out, _ = fecam_forward(x, twin, cache)
+    fecam_backward(np.ones_like(out), twin, cache, input_grad=False)
+    info = attention._basis.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    assert not attention._basis(96, np.dtype(np.float32)).flags.writeable
 
 
 def test_gathered_batch_enters_the_layer_without_a_copy():

@@ -428,6 +428,26 @@ def test_train_steps_a_float32_model_and_updates_the_float64_one(monkeypatch):
     assert model.values.dtype == model.grads.dtype == np.float64
 
 
+def test_float32_training_windows_train_as_float64_ones_cast_per_batch():
+    # The CLI casts the standardized training slice to float32 once. Casting
+    # commutes with gathering, so every batch, and so the whole run, is the
+    # one that float64 windows cast batch by batch give. Criterion-8 data.
+    series = synth_series("sinusoid_mix", 1200, 4, noise_std=0.1, seed=0)
+    splits = chronological_split(series, (7, 2, 2), min_slice_len=192)
+    scaler = fit_standardizer(splits[0])
+    scaled = scaler.apply(splits[0])
+    val_ds = make_windows(scaler.apply(splits[1]), 96, 96)
+    cfg = TrainConfig(lookback=96, horizon=96, lr=3e-3, epochs=2, lr_decay=1.0,
+                      early_stop_patience=5, seed=0)
+    runs = []
+    for observations in (scaled, scaled.astype(np.float32, order="F")):
+        train_ds = make_windows(observations, 96, 96)
+        model, history = train(build_model(cfg), train_ds, val_ds, cfg)
+        runs.append((train_ds.inputs.dtype, model.values.tobytes(), history))
+    assert [dtype for dtype, _, _ in runs] == [np.float64, np.float32]
+    assert runs[0][1:] == runs[1][1:] and len(runs[0][2]) == 2
+
+
 def test_float32_step_grads_match_a_float64_step():
     # Tolerance 1e-4 on each array's ||g32 - g64|| / ||g64||: float32 rounds at
     # 6e-8, and the weight gradients sum B*C = 128 terms each, so rounding alone

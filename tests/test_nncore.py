@@ -135,6 +135,35 @@ def test_relu_derivative_at_zero_is_zero():
     np.testing.assert_array_equal(d, [0.0, 0.0, 1.0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_sigmoid_bias_gives_the_bits_of_adding_it_first(dtype):
+    # (-b) - x is -(x + b) up to a zero's sign, and exp(+-0) = 1. The rows hold
+    # x + b = +-0, signed zeros, and exp overflows: below about -709 in float64
+    # and -88 in float32, both expected inside the sigmoid, so "raise" outside.
+    rng = np.random.default_rng(17)
+    bias = rng.normal(0.0, 3.0, 16).astype(dtype)
+    bias[:2] = (0.0, -0.0)
+    x = rng.normal(0.0, 30.0, (7, 16)).astype(dtype)
+    x[0] = -bias
+    x[1] = 0.0
+    x[2] = -0.0
+    x[3] = -1000.0
+    x[4] = -100.0
+    x[5] = 1000.0
+    with np.errstate(over="raise"):
+        want = sigmoid_forward(x + bias)
+        for b in (bias, dtype(0.5), 0.5):
+            assert sigmoid_forward(x, b).dtype == dtype
+        got = sigmoid_forward(x, bias)
+        in_place = x.copy()
+        returned = sigmoid_forward(in_place, bias, out=in_place)
+        scalar = sigmoid_forward(x, dtype(-0.75))
+    assert want.dtype == dtype and got.tobytes() == want.tobytes()
+    assert returned is in_place and in_place.tobytes() == want.tobytes()
+    assert scalar.tobytes() == sigmoid_forward(x + dtype(-0.75)).tobytes()
+    assert np.all(want[3] == 0.0) and np.all(want[5] == 1.0)
+
+
 def test_sigmoid_stable_at_extremes():
     y = sigmoid_forward(np.array([-1000.0, 1000.0]))
     assert np.all(np.isfinite(y))
