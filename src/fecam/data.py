@@ -7,7 +7,9 @@ Everything stays in memory; input files are never mutated.
 
 A clean CSV (no quote, no lone CR, no ragged, blank, NaN or infinite cell,
 timestamps of one kind and strictly increasing) is read in one np.loadtxt
-call for the values and one pass over the timestamp column. Every other
+call for the values and one pass over the timestamp column; CRLFs are
+rewritten only once a CR is found, and rows are checked by one comma total,
+exact since a short row fails np.loadtxt or the stamp cut. Every other
 file is read row by row through csv.reader, with Python's float() of each
 stripped cell; that reader alone reports errors, each at the first fault in
 file order, and forward-fills missing cells. Both readers decode UTF-8,
@@ -27,7 +29,6 @@ import math
 import operator
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,11 @@ def _read_clean(path: Path, date_column: str | int) -> RawSeries | None:
     result equals _read_validating's. Every other file is declined:
     _read_validating alone reports errors, fills missing cells and reads
     quoted cells.
+
+    An LF file is tested for a CR, not rewritten. The comma count is one
+    total over the text, which is exact: a line with fewer commas lacks its
+    highest-index cell, which np.loadtxt's usecols refuses when it is a value
+    and the stamp cut when it is the timestamp, so none balances a long line.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -162,11 +168,13 @@ def _read_clean(path: Path, date_column: str | int) -> RawSeries | None:
         return None
     if '"' in text:
         return None
-    text = text.replace("\r\n", "\n")
     if "\r" in text:
-        return None
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
     # Not str.splitlines(): it also breaks at characters csv.reader keeps in a cell.
     header, *lines = text.split("\n")
+    total_commas = text.count(",")
     del text  # only the lines are used from here; holding both would raise peak memory
     lines = [line for line in lines if line]
     if not lines or max(len(header), *map(len, lines)) > csv.field_size_limit():
@@ -178,9 +186,9 @@ def _read_clean(path: Path, date_column: str | int) -> RawSeries | None:
         ts_index, channel_names = _columns(header, date_column)
     except ValueError:
         return None
-    # np.loadtxt with usecols ignores extra cells, so the count is what rejects ragged rows.
+    # np.loadtxt with usecols ignores extra cells, so the total is what rejects long rows.
     commas = len(header) - 1
-    if set(map(str.count, lines, repeat(","))) != {commas}:
+    if total_commas != commas * (len(lines) + 1):
         return None
     try:
         # comments=None: the default "#" would cut a cell short.
@@ -190,11 +198,11 @@ def _read_clean(path: Path, date_column: str | int) -> RawSeries | None:
         return None
     if not np.isfinite(observations).all():
         return None
-    stamps = _parse_stamp_column(lines, ts_index)
     try:
+        stamps = _parse_stamp_column(lines, ts_index)
         if stamps is None or not all(map(operator.lt, stamps, stamps[1:])):
             return None
-    except TypeError:  # naive and offset-aware times mixed
+    except (IndexError, TypeError):  # a line short of its stamp cell; naive and aware times
         return None
     return RawSeries(observations, channel_names)
 
@@ -209,8 +217,11 @@ def _parse_stamp_column(lines: list[str], ts_index: int) -> list | None:
     (20160701 in an ISO column is a number there, and declined here). The
     cells are cut from the lines as each pass consumes them, never held as
     a list, so the read's peak memory does not grow by a column of strings.
+    A line that ends before its stamp cell raises IndexError.
     """
     def cells():
+        if ts_index == 0:
+            return (line.partition(",")[0] for line in lines)
         return (line.split(",", ts_index + 1)[ts_index] for line in lines)
 
     try:

@@ -302,6 +302,18 @@ FAST_READ_CASES = [
     ("short-row", "time,a,b\n0,1,2\n1,2\n", 0, False, "line 3: expected 3 cells, got 2"),
     ("long-row-last-column-stamp", "a,time\n1,0\n2,1,7\n", 1, False,
      "line 3: expected 2 cells, got 3"),
+    # A short row balanced by a long one has the header's comma total; the
+    # short row ends before its last cell, a value or the stamp.
+    ("short-row-balanced", "time,a,b\n0,1,2\n1,2\n2,3,4,5\n", 0, False,
+     "line 3: expected 3 cells, got 2"),
+    ("short-row-balanced-last-column-stamp", "a,b,time\n1,2,0\n3,4\n5,6,2,9\n", 2, False,
+     "line 3: expected 3 cells, got 2"),
+    ("short-row-balanced-last-column-iso-stamp",
+     "a,b,time\n1,2,2016-07-01 00:00:00\n3,4\n5,6,2016-07-01 02:00:00,9\n", 2, False,
+     "line 3: expected 3 cells, got 2"),
+    ("iso-stamp-not-first", "a,time,b\n1,2016-07-01 00:00:00,2\n3,2016-07-01 01:00:00,4\n",
+     1, True, None),
+    ("iso-crlf", "date,a\r\n2016-07-01 00:00:00,1\r\n2016-07-01 01:00:00,2\r\n", 0, True, None),
     ("whitespace-line", "time,a\n0,1\n  \n1,2\n", 0, False, "line 3: expected 2 cells, got 1"),
     ("blank-cell", "time,a\n0,1\n1,\n", 0, False, "line 3: missing value in column 'a'"),
     ("nan-cell", "time,a\n0,1\n1,nan\n", 0, False, "line 3: missing value in column 'a'"),
@@ -684,6 +696,27 @@ def test_windowing_an_etth2_sized_series_allocates_no_windows():
         tracemalloc.stop()
     assert ds.n_windows == 17_420 - 96 - 96 + 1
     assert peak < 2**20
+
+
+def test_reading_an_etth2_sized_csv_holds_no_column_of_cells(tmp_path):
+    # 17,420 x 7 hourly ISO rows, as the ETT exports write them. The read
+    # holds the text or its lines, the parsed stamps and the values; a list
+    # of cut stamp cells or of line remainders would add about a file's size.
+    values = synth_series("sinusoid_mix", 17_420, 7, noise_std=0.3, seed=0).observations
+    start = datetime(2016, 7, 1)
+    lines = ["date," + ",".join(f"ch{c}" for c in range(7))]
+    lines += [f"{start + timedelta(hours=i)},{','.join(f'{v:.6f}' for v in row)}"
+              for i, row in enumerate(values.tolist())]
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    assert _read_clean(path, 0) is not None
+    tracemalloc.start()
+    try:
+        series = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.observations.shape == (17_420, 7)
+    assert peak < 3.2 * path.stat().st_size
 
 
 def test_standardized_windows_are_channel_major_and_gather_contiguously():
