@@ -14,8 +14,6 @@ identity as `gap_link`.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .data import write_csv
@@ -87,18 +85,10 @@ class Excitation:
         self.excite2 = DenseLayer(hidden, size, rng)
 
 
-@lru_cache(maxsize=2)
-def _basis(length: int, dtype: np.dtype) -> np.ndarray:
-    """The orthonormal cosine basis D in `dtype`, read-only: dct_matrix's own for float64."""
-    basis = dct_matrix(length, ORTHO).astype(dtype, copy=False)
-    basis.setflags(write=False)
-    return basis
-
-
 def _folded_weight(block: Excitation) -> np.ndarray:
-    """D^T W1: the cosine transform folded into the first excitation layer, in W1's dtype."""
+    """D^T W1: the cosine transform folded into the first excitation layer, D in W1's dtype."""
     weight = block.excite1.weight
-    return _basis(block.size, weight.dtype).T @ weight
+    return dct_matrix(block.size, ORTHO, weight.dtype).T @ weight
 
 
 def _excite(rows: np.ndarray, block: Excitation, folded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,13 +150,12 @@ def fecam_backward(upstream, block: Excitation, cache: dict, *,
     """Gradient of fecam_forward's output wrt its input and parameters.
 
     Parameter gradients accumulate into the block's buffers. With the rows of
-    x flattened to (B*C, L), the first weight's gradient is D (x^T dz1) and
-    the input gradient flows back through D^T W1, refolded from the unchanged
-    W1. Training reads only the parameter gradients, so it passes
-    input_grad=False: the same gradients accumulate, the input gradient's
-    matmul and product are skipped, and None is returned. The sigmoid and
-    ReLU backward passes overwrite the fresh arrays they are given rather
-    than allocate their own.
+    x flattened to (B*C, L), the first weight's gradient is D (x^T dz1), D in
+    dz1's dtype, and the input gradient flows back through D^T W1, refolded
+    from the unchanged W1. Training reads only the parameter gradients, so
+    it passes input_grad=False: the same gradients accumulate, the input
+    gradient's matmul and product are skipped, and None is returned. The
+    sigmoid and ReLU backward passes overwrite the fresh arrays they get.
     """
     if not cache:
         raise ValueError("fecam_backward needs the cache filled by fecam_forward")
@@ -181,7 +170,7 @@ def fecam_backward(upstream, block: Excitation, cache: dict, *,
     d_z1 = dense_backward(block.excite2, d_z2, h1)
     del d_z2  # so the input gradient is not allocated while it is held
     relu_backward(d_z1, h1, out=d_z1)
-    block.excite1.weight_grad += _basis(block.size, d_z1.dtype) @ (rows.T @ d_z1)
+    block.excite1.weight_grad += dct_matrix(block.size, ORTHO, d_z1.dtype) @ (rows.T @ d_z1)
     block.excite1.bias_grad += d_z1.sum(axis=0)
     if not input_grad:
         return None

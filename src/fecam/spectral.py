@@ -1,11 +1,11 @@
 """Spectral kernels: DCT-II/III, DFT, symmetric extension, Fourier partial
 sums, the Gibbs overshoot at a wave's jump, and truncated reconstructions.
 
-The cosine transform is an O(L^2) product with a cached basis matrix, built
-once per (length, normalization); its inverse applies the same matrix
-transposed. The unitary DFT goes through ``numpy.fft``, so the even-extension
-oracle shares no algorithm with the cosine path. Every function is pure and
-safe to call concurrently.
+The cosine transform is an O(L^2) product with a cached, read-only basis
+matrix, built once per (length, normalization, dtype); its inverse applies
+the same matrix transposed. The unitary DFT goes through ``numpy.fft``, so
+the even-extension oracle shares no algorithm with the cosine path. Every
+function is pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -87,14 +87,16 @@ class FourierSeriesModel:
 # Cosine transform
 # ---------------------------------------------------------------------------
 
-# No command reuses more than two bases: train, attention and compaction use
-# one key, (L, ortho); theorems two, as round_trip inverts at the forward's key.
+# Keys are the arguments as passed: the attention layer always passes its
+# array's dtype and no other caller does. No command holds more than two keys:
+# train one per dtype (float64 to validate, float32 to step); theorems two, as
+# round_trip inverts at the forward's key; attention and compaction one.
 # Against maxsize=8, theorems --trials 500 --max-len 720 missed 902 of 1,105
 # calls, not 892; at --trials 300 --max-len 1500 (2-vCPU Xeon, seeds 0 and 1)
 # peak RSS fell from 166-196 to 108-118 MiB at 8-9 s wall time either way.
 @lru_cache(maxsize=2)
-def dct_matrix(length: int, normalization: str = ORTHO) -> np.ndarray:
-    """Forward transform matrix; row l holds the l-th cosine basis vector."""
+def dct_matrix(length: int, normalization: str = ORTHO, dtype=np.float64) -> np.ndarray:
+    """Forward transform matrix in `dtype`, read-only; row l holds the l-th cosine basis vector."""
     _check_normalization(normalization)
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -104,6 +106,7 @@ def dct_matrix(length: int, normalization: str = ORTHO) -> np.ndarray:
         scale = np.full(length, np.sqrt(2.0 / length))
         scale[0] = np.sqrt(1.0 / length)
         mat = mat * scale[:, None]
+    mat = mat.astype(dtype, copy=False)
     mat.setflags(write=False)
     return mat
 

@@ -231,6 +231,31 @@ def test_train_is_deterministic_across_runs(data_csv, tmp_path):
     assert mse_a == mse_b
 
 
+def test_basis_reads_go_through_one_cache_that_never_evicts(data_csv, tmp_path):
+    # train holds two bases, float64 to validate and float32 to step; each
+    # float32 step reads its basis twice, for the fold and for the D @ (...)
+    # gradient product. Every read is a lookup on spectral.dct_matrix, so the
+    # bench's traced call count and hit ratio see them all.
+    hits = {}
+    for batch in (32, 16):
+        spectral.dct_matrix.cache_clear()
+        out = tmp_path / f"b{batch}"
+        assert run_train(data_csv, out, "--batch-size", str(batch),
+                         "--early-stop-patience", "3") == 0
+        info = spectral.dct_matrix.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        assert json.loads((out / "metrics.json").read_text())["epochs_run"] == 2
+        hits[batch] = info.hits
+    train_rows = json.loads((out / "dataset.json").read_text())["split_sizes"]["train"]
+    windows = train_rows - 32 - 16 + 1
+    steps = {batch: 2 * -(-windows // batch) for batch in hits}
+    assert hits[16] - hits[32] == 2 * (steps[16] - steps[32]) > 0
+    spectral.dct_matrix.cache_clear()
+    assert cli.main(["attention", "--checkpoint", str(out / "model.json"),
+                     "--data", str(data_csv), "--out", str(tmp_path / "att")]) == 0
+    assert spectral.dct_matrix.cache_info().misses == 1
+
+
 def test_train_univariate_channel(data_csv, tmp_path):
     out = tmp_path / "uni"
     assert run_train(data_csv, out, "--channel", "ch1") == 0

@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fecam import attention
 from fecam.attention import (
     INFERENCE_BATCH,
     Excitation,
@@ -303,8 +302,9 @@ def perturbed_layer(length, seed):
 
 
 def test_the_fold_runs_in_the_blocks_dtype():
-    # A float64 block folds with dct_matrix itself; a float32 block with one
-    # cached, read-only float32 copy of it, so no float64 product enters its step.
+    # A float64 block folds with dct_matrix's float64 basis; a float32 block
+    # with one cached, read-only float32 basis from the same cache, so no
+    # float64 product enters its step.
     layer = perturbed_layer(96, seed=87)
     folded = _folded_weight(layer)
     assert folded.tobytes() == (dct_matrix(96, ORTHO).T @ layer.excite1.weight).tobytes()
@@ -312,9 +312,9 @@ def test_the_fold_runs_in_the_blocks_dtype():
     for (value32, _), (value, _) in zip(param_pairs(twin.excite1, twin.excite2),
                                         param_pairs(layer.excite1, layer.excite2)):
         value32[:] = value
-    attention._basis.cache_clear()
-    folded32 = _folded_weight(twin)
     basis32 = dct_matrix(96, ORTHO).astype(np.float32)
+    dct_matrix.cache_clear()
+    folded32 = _folded_weight(twin)
     assert folded32.dtype == np.float32
     assert folded32.tobytes() == (basis32.T @ twin.excite1.weight).tobytes()
     assert np.max(np.abs(folded32 - folded)) <= 1e-5 * np.max(np.abs(folded))
@@ -323,9 +323,9 @@ def test_the_fold_runs_in_the_blocks_dtype():
     cache = {}
     out, _ = fecam_forward(x, twin, cache)
     fecam_backward(np.ones_like(out), twin, cache, input_grad=False)
-    info = attention._basis.cache_info()
+    info = dct_matrix.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
-    assert not attention._basis(96, np.dtype(np.float32)).flags.writeable
+    assert not dct_matrix(96, ORTHO, np.dtype(np.float32)).flags.writeable
 
 
 def test_gathered_batch_enters_the_layer_without_a_copy():
@@ -384,7 +384,8 @@ def test_mean_attention_holds_one_batch_of_buffers():
     windows = channel_major_windows(2_000, 7, 96, seed=85)
     layer = perturbed_layer(96, seed=86)
     batch_bytes = 64 * 7 * 96 * 8
-    dct_matrix(96, ORTHO)  # the cached basis is not the pass's own
+    # The basis in the layer's call form is cached, not the pass's own.
+    dct_matrix(96, ORTHO, layer.excite1.weight.dtype)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
