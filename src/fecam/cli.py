@@ -3,7 +3,7 @@
 Five subcommands: train (fit/evaluate, optionally both ablation arms), gibbs
 (overshoot sweep with plottable partial-sum curves), compaction (truncated
 reconstruction error tables), attention (heatmap export from a checkpoint,
-over windows prepared with the data settings train recorded in its meta),
+over test windows prepared with the data settings train recorded in its meta),
 and theorems (randomized verification suite). A command only computes: it
 returns its exit code and the files to write, and main() creates the output
 directory, writes them, and adds manifest.json (the exact invocation, config,
@@ -126,27 +126,18 @@ def _write_manifest(out_dir: Path, args, argv: list[str]) -> None:
     })
 
 
-def _select_channel(series: RawSeries, channel: str | None) -> RawSeries:
-    if channel is None:
-        return series
-    matches = series.channel_names.count(channel)
-    if matches != 1:
-        raise SettingError("channel", f"{matches or 'no'} channels named {channel!r}; "
-                                      f"file has {series.channel_names}")
-    idx = series.channel_names.index(channel)
-    return RawSeries(series.observations[:, idx:idx + 1], [channel])
-
-
-def _prepared_windows(args, lookback: int, horizon: int, train_dtype=np.float64):
-    """Load -> select -> split -> standardize -> window; the train split comes in train_dtype."""
+def _prepared_splits(args, lookback: int, horizon: int):
+    """Load -> select --channel -> split; returns (series, splits, standardizer fit on train)."""
     series = load_csv(args.data, date_column=args.date_column, fill_policy=args.fill_policy)
-    series = _select_channel(series, args.channel)
-    ratios = _parse_ratios(args.split)
-    splits = chronological_split(series, ratios, min_slice_len=lookback + horizon)
-    scaler = fit_standardizer(splits[0])
-    windows = tuple(make_windows(scaler.apply(s).astype(dtype, copy=False), lookback, horizon)
-                    for s, dtype in zip(splits, (train_dtype, np.float64, np.float64)))
-    return series, splits, windows
+    if args.channel is not None:
+        matches = series.channel_names.count(args.channel)
+        if matches != 1:
+            raise SettingError("channel", f"{matches or 'no'} channels named {args.channel!r}; "
+                                          f"file has {series.channel_names}")
+        idx = series.channel_names.index(args.channel)
+        series = RawSeries(series.observations[:, idx:idx + 1], [args.channel])
+    splits = chronological_split(series, _parse_ratios(args.split), lookback + horizon)
+    return series, splits, fit_standardizer(splits[0])
 
 
 def _metrics_payload(args, config: TrainConfig, report, history) -> dict:
@@ -166,8 +157,12 @@ def _metrics_payload(args, config: TrainConfig, report, history) -> dict:
 
 def cmd_train(args) -> tuple[int, dict]:
     config = TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)})
-    series, splits, (train_ds, val_ds, test_ds) = _prepared_windows(
-        args, config.lookback, config.horizon, np.float32)
+    series, splits, scaler = _prepared_splits(args, config.lookback, config.horizon)
+    # train steps in float32, so its windows are cast once here; val and test stay float64.
+    train_ds = make_windows(scaler.apply(splits[0]).astype(np.float32),
+                            config.lookback, config.horizon)
+    val_ds, test_ds = (make_windows(scaler.apply(s), config.lookback, config.horizon)
+                       for s in splits[1:])
     summary = series_summary(series, splits)
     baseline = persistence_report(test_ds)
 
@@ -261,7 +256,7 @@ def cmd_attention(args) -> tuple[int, dict]:
     model, meta = load_model(args.checkpoint)
     if model.fecam is None:
         raise ValueError("checkpoint has no attention layer (trained with --ablation plain arm?)")
-    # Prepare windows as training did; an unusable meta setting names the checkpoint and key.
+    # Split as training did; an unusable meta setting names the checkpoint and key.
     try:
         for key, default in DATA_DEFAULTS.items():
             value = meta.get(key, default)
@@ -269,10 +264,11 @@ def cmd_attention(args) -> tuple[int, dict]:
                 raise SettingError(key, f"must be a string or {type(default).__name__}, "
                                         f"got {value!r}")
             setattr(args, key, value)
-        _, _, (_, _, test_ds) = _prepared_windows(args, model.lookback, model.horizon)
+        _, splits, scaler = _prepared_splits(args, model.lookback, model.horizon)
     except SettingError as exc:
         raise ValueError(f"{args.checkpoint}: meta {exc.key!r}: {exc}") from None
 
+    test_ds = make_windows(scaler.apply(splits[2]), model.lookback, model.horizon)
     mean_att = mean_attention(test_ds.inputs, model.fecam)
     return 0, {"attention.csv": functools.partial(export_attention, mean_att)}
 

@@ -324,6 +324,9 @@ def load_model(path) -> tuple[ForecastModel, dict]:
                              f"(lookback {lookback}, a divisor of {lookback})")
         reduction = lookback // shape[1]
     model = ForecastModel(lookback, horizon, reduction, with_fecam=with_fecam)
+    unknown = sorted(arrays.keys() - model.state_arrays().keys())
+    if unknown:
+        raise ValueError(f"checkpoint has unknown array {unknown[0]!r}")
     for name, target in model.state_arrays().items():
         if _array(arrays, name).shape != target.shape:
             raise ValueError(

@@ -1,9 +1,10 @@
 """The benchmark's use of the package, checked at its smoke sizes.
 
-`bench/workloads.py` drives `fecam.cli.main` and calls the model, layer and
-optimizer functions directly. Running its two gated workloads here, as the
-benchmark does but with a few steps each, makes a change that drops or
-renames something it uses fail the test suite rather than the benchmark.
+`bench/workloads.py` drives `fecam.cli.main` and calls the model, layer,
+optimizer and spectral functions directly. Running every one of its
+workloads here, gated or not, as the benchmark does but with a few steps
+each, makes a change that drops or renames something it uses fail the test
+suite rather than the benchmark.
 """
 
 import ast
@@ -35,8 +36,17 @@ def workloads():
         del sys.modules[spec.name]
 
 
-@pytest.mark.parametrize("name", ["train_c7_l96", "attention_etth2"])
-def test_gated_workload_runs_and_checks_at_smoke_sizes(workloads, tmp_path, monkeypatch, name):
+WORKLOAD_NAMES = ["train_c7_l96", "train_c21_l336", "attention_etth2", "attention_ettm2",
+                  "theorems_l720"]
+
+
+def test_every_workload_runs_at_smoke_sizes_here(workloads):
+    # A workload added to the benchmark must be added to the list above too.
+    assert WORKLOAD_NAMES == list(workloads.WORKLOADS)
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_workload_runs_and_checks_at_smoke_sizes(workloads, tmp_path, monkeypatch, name):
     monkeypatch.delenv("FECAM_OUT", raising=False)  # it would override the workload's --out
     cls = workloads.WORKLOADS[name]
     workload = cls(workloads.SMOKE[cls], tmp_path, 0)
@@ -48,7 +58,6 @@ def test_gated_workload_runs_and_checks_at_smoke_sizes(workloads, tmp_path, monk
     for _ in range(3):
         assert math.isfinite(workload.step(rng))
     assert workload.final_checks() == []
-
 
 
 @pytest.mark.parametrize("name", ["train_c7_l96", "attention_etth2"])

@@ -167,6 +167,29 @@ def test_huge_finite_cell_is_an_input_error(data_csv, tmp_path, capsys, row):
     assert "channel 1: mean or std overflows" in err
 
 
+def test_a_validation_cell_too_large_to_standardize_stops_train_not_attention(
+        data_csv, tmp_path, capsys):
+    # 1.7e308 over ch0's training std (about 0.89) overflows float64. train
+    # standardizes all three slices and exits 2; attention standardizes only
+    # the test slice, so a cell in the validation slice (rows 256-327) leaves
+    # its map as the clean file's.
+    lines = data_csv.read_text().splitlines()
+    cells = lines[301].split(",")
+    cells[1] = "1.7e308"
+    lines[301] = ",".join(cells)
+    path = tmp_path / "huge_val.csv"
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["train", "--data", str(path), "--lookback", "32", "--horizon", "16", "--epochs", "1"]
+    err = assert_input_error(argv, tmp_path / "x", capsys)
+    assert "channel 0: standardized value overflows" in err
+    ckpt = make_checkpoint(tmp_path)
+    for csv_path, out in ((path, tmp_path / "att"), (data_csv, tmp_path / "clean")):
+        assert cli.main(["attention", "--checkpoint", str(ckpt), "--data", str(csv_path),
+                         "--out", str(out)]) == 0
+    att, clean = ((tmp_path / name / "attention.csv").read_bytes() for name in ("att", "clean"))
+    assert att == clean
+
+
 def test_train_bad_config_exits_2(data_csv, tmp_path, capsys):
     code = cli.main(["train", "--data", str(data_csv), "--lookback", "33",
                      "--reduction", "2", "--out", str(tmp_path / "x")])
@@ -863,19 +886,22 @@ def test_attention_csv_fault_is_not_blamed_on_the_checkpoint(data_csv, tmp_path,
 def test_only_train_casts_its_training_windows_to_float32(data_csv, tmp_path, monkeypatch):
     # train's steps run in float32, so it takes its training split in float32,
     # cast once; attention reads only the test split and casts nothing.
-    prepare, prepared = cli._prepared_windows, []
+    windowed = []
 
-    def spy(*args):
-        prepared.append(prepare(*args))
-        return prepared[-1]
+    def spy(observations, lookback, horizon):
+        windowed.append(make_windows(observations, lookback, horizon))
+        return windowed[-1]
 
-    monkeypatch.setattr(cli, "_prepared_windows", spy)
+    monkeypatch.setattr(cli, "make_windows", spy)
     assert run_train(data_csv, tmp_path / "run") == 0
+    windows = windowed[:]
     assert cli.main(["attention", "--checkpoint", str(tmp_path / "run" / "model.json"),
                      "--data", str(data_csv), "--out", str(tmp_path / "att")]) == 0
-    (_, splits, windows), (_, _, att_windows) = prepared
+    att_windows = windowed[len(windows):]
     assert [w.inputs.dtype for w in windows] == [np.float32, np.float64, np.float64]
-    assert [w.inputs.dtype for w in att_windows] == [np.float64] * 3
+    assert [w.inputs.dtype for w in att_windows] == [np.float64]
+    assert np.array_equal(att_windows[0].inputs, windows[2].inputs)
+    splits = chronological_split(load_csv(data_csv), (7, 2, 2), min_slice_len=32 + 16)
     reference = make_windows(fit_standardizer(splits[0]).apply(splits[0]), 32, 16)
     assert np.array_equal(windows[0].inputs, reference.inputs.astype(np.float32))
     assert windows[0].inputs[[3, 1]].flags.c_contiguous  # channel-major, as float64 was

@@ -665,3 +665,27 @@ def test_load_rejects_incomplete_checkpoint(tmp_path):
     save_checkpoint(path, arrays)
     with pytest.raises(ValueError, match="missing array 'fecam.excite2.weight'"):
         load_model(path)
+
+
+def test_load_rejects_arrays_the_model_does_not_have(tmp_path, capsys):
+    # A misspelt or surplus array would otherwise be dropped without a word,
+    # and the model would load with the weights it was built with.
+    from fecam import cli
+    from fecam.nncore import save_checkpoint
+    path = tmp_path / "extra.json"
+    arrays = ForecastModel(8, 4).state_arrays()
+    arrays["projection.wieght"] = np.zeros((8, 4))
+    save_checkpoint(path, arrays)
+    with pytest.raises(ValueError, match=r"unknown array 'projection\.wieght'"):
+        load_model(path)
+    arrays["fecam.excite3.weight"] = np.zeros((8, 4))  # of two, the first by name is named
+    save_checkpoint(path, arrays)
+    with pytest.raises(ValueError, match=r"unknown array 'fecam\.excite3\.weight'"):
+        load_model(path)
+    # attention loads its checkpoint first, so it exits 2 before reading any data.
+    out = tmp_path / "att"
+    argv = ["attention", "--checkpoint", str(path), "--data", str(tmp_path / "none.csv"),
+            "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "unknown array 'fecam.excite3.weight'" in capsys.readouterr().err
+    assert not out.exists()
