@@ -72,13 +72,11 @@ class Excitation:
     length-L attention vector from the same weights.
     """
 
-    def __init__(self, size: int, reduction: int = 2, rng: np.random.Generator | None = None):
+    def __init__(self, size: int, reduction: int = 2, *, rng: np.random.Generator):
         if size < 1 or reduction < 1:
             raise ValueError(f"size and reduction must be positive, got ({size}, {reduction})")
         if size % reduction != 0:
             raise ValueError(f"size {size} not divisible by reduction {reduction}")
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.size = size
         hidden = size // reduction
         self.excite1 = DenseLayer(size, hidden, rng)

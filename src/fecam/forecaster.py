@@ -110,7 +110,7 @@ class ForecastModel:
         self.horizon = horizon
         self.reduction = reduction
         self.projection = DenseLayer(lookback, horizon, np.random.default_rng([seed, 0]))
-        self.fecam = (Excitation(lookback, reduction, np.random.default_rng([seed, 1]))
+        self.fecam = (Excitation(lookback, reduction, rng=np.random.default_rng([seed, 1]))
                       if with_fecam else None)
         self.layers = {"projection": self.projection}
         if self.fecam is not None:

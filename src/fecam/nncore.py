@@ -38,11 +38,9 @@ class DenseLayer:
     calls until the caller zeroes weight_grad and bias_grad.
     """
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         if in_dim < 1 or out_dim < 1:
             raise ValueError(f"layer dims must be positive, got ({in_dim}, {out_dim})")
-        if rng is None:
-            rng = np.random.default_rng(0)
         bound = np.sqrt(1.0 / in_dim)
         self.weight = rng.uniform(-bound, bound, size=(in_dim, out_dim))
         self.bias = rng.uniform(-bound, bound, size=out_dim)

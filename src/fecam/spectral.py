@@ -2,10 +2,10 @@
 sums, the Gibbs overshoot at a wave's jump, and truncated reconstructions.
 
 The cosine transform is an O(L^2) product with a cached, read-only basis
-matrix, built once per (length, normalization, dtype); its inverse applies
-the same matrix transposed. The unitary DFT goes through ``numpy.fft``, so
-the even-extension oracle shares no algorithm with the cosine path. Every
-function is pure and safe to call concurrently.
+matrix, built once per (length, normalization, dtype). Only the orthonormal
+transform is inverted, by its basis transposed. The unitary DFT goes
+through ``numpy.fft``, so the even-extension oracle shares no algorithm with
+the cosine path. Every function is pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -89,10 +89,10 @@ class FourierSeriesModel:
 
 # Keys are the arguments as passed: the attention layer always passes its
 # array's dtype and no other caller does. No command holds more than two keys:
-# train one per dtype (float64 to validate, float32 to step); theorems two, as
-# round_trip inverts at the forward's key; attention and compaction one.
-# Against maxsize=8, theorems --trials 500 --max-len 720 missed 902 of 1,105
-# calls, not 892; at --trials 300 --max-len 1500 (2-vCPU Xeon, seeds 0 and 1)
+# train two, one per dtype (float64 to validate, float32 to step); theorems
+# one, as round_trip inverts at the forward's key; attention and compaction one.
+# Against maxsize=8, theorems --trials 500 --max-len 720 missed 792 of 905
+# calls, not 802; at --trials 300 --max-len 1500 (2-vCPU Xeon, seeds 0 and 1)
 # peak RSS fell from 166-196 to 108-118 MiB at 8-9 s wall time either way.
 @lru_cache(maxsize=2)
 def dct_matrix(length: int, normalization: str = ORTHO, dtype=np.float64) -> np.ndarray:
@@ -119,19 +119,15 @@ def dct_forward(x, normalization: str = ORTHO) -> Spectrum:
 
 
 def dct_inverse(spectrum: Spectrum) -> np.ndarray:
-    """Exact inverse of :func:`dct_forward` under the spectrum's own tag."""
-    coeffs = np.asarray(spectrum.coefficients, dtype=float)
+    """Exact inverse of an orthonormal :func:`dct_forward`: the basis transposed."""
+    if spectrum.normalization != ORTHO:
+        raise ValueError(f"dct_inverse takes {ORTHO!r} spectra, got {spectrum.normalization!r}")
+    coeffs = spectrum.coefficients
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise ValueError("spectrum must hold a nonempty 1-D coefficient vector")
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("spectrum contains non-finite coefficients")
-    if spectrum.normalization == UNNORMALIZED:
-        # Rows of the bare cosine matrix have squared norm L (l=0) and L/2
-        # (l>0), so the inverse is the transpose with those weights undone.
-        weights = np.full(coeffs.size, 2.0 / coeffs.size)
-        weights[0] = 1.0 / coeffs.size
-        coeffs = coeffs * weights
-    return dct_matrix(coeffs.size, spectrum.normalization).T @ coeffs
+    return dct_matrix(coeffs.size, ORTHO).T @ coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -959,6 +959,10 @@ DATA_EDITS = {
     "data-no-pad": (lambda data: data.rstrip("="), LENGTH),
     "data-newline": (lambda data: data[:40] + "\n" + data[41:], NOT_BASE64),
     "data-8-bytes-short": (lambda data: b64(unb64(data)[:-1]), LENGTH),
+    # One byte short still has the right character count, with a '==' pad;
+    # only the decoded length shows it.
+    "data-1-byte-short": (lambda data: base64.b64encode(base64.b64decode(data)[:-1]).decode(),
+                          LENGTH),
     "data-v1-list": (lambda data: unb64(data).tolist(), "and a base64 string 'data'"),
     "data-nan": (with_bits(QUIET_NAN), NOT_FINITE),
     "data-negative-nan": (with_bits(NEGATIVE_NAN), NOT_FINITE),
@@ -995,6 +999,8 @@ BIAS = ("arrays", "projection.bias")
      "missing array 'fecam.excite1.weight'"),
     (("arrays",), {}, "checkpoint missing array 'projection.weight'"),
     (("arrays", "fecam.excite1.weight"), DROP, "missing array 'fecam.excite1.weight'"),
+    (BIAS, {"shape": [17], "data": b64(np.zeros(17))},
+     "projection.bias: checkpoint shape (17,) != model shape (16,)"),
     (("version",), 1, f"unsupported checkpoint version 1: this fecam reads version "
                       f"{CHECKPOINT_VERSION}; re-run `fecam train`"),
     *[((*BIAS, "data"), edit, message) for edit, message in DATA_EDITS.values()],
@@ -1002,7 +1008,7 @@ BIAS = ("arrays", "projection.bias")
         "no-data", "data-string", "data-objects", "no-shape", "shape-int", "shape-negative",
         "shape-float", "shape-huge", "projection-1d", "excite1-rows-not-lookback",
         "excite1-columns-not-divisor", "excite2-without-excite1", "arrays-empty", "no-excite1",
-        "version-1", *DATA_EDITS])
+        "bias-longer-than-horizon", "version-1", *DATA_EDITS])
 def test_attention_malformed_checkpoint_exits_2(data_csv, tmp_path, capsys, keys, value, message):
     ckpt = make_checkpoint(tmp_path)
     ckpt.write_text(json.dumps(edited(json.loads(ckpt.read_text()), keys, value)))
@@ -1097,6 +1103,45 @@ def test_theorems_detects_injected_round_trip_bug(tmp_path, capsys, monkeypatch)
     assert code == 1
     captured = capsys.readouterr()
     assert "round_trip" in captured.err and "FAIL" in captured.out
+
+
+def theorems_failing_only(name, tmp_path, capsys):
+    """Run a small `fecam theorems`; assert it exits 1 with `name` its only failed check."""
+    out = tmp_path / "thm"
+    assert cli.main(["theorems", "--trials", "50", "--max-len", "64", "--out", str(out)]) == 1
+    checks = json.loads((out / "theorems.json").read_text())["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == [name]
+    assert name in capsys.readouterr().err
+    return next(c for c in checks if c["name"] == name)
+
+
+def test_theorems_even_dft_identity_catches_a_planted_coefficient_error(tmp_path, capsys,
+                                                                        monkeypatch):
+    exact = cli.dct_via_even_dft
+
+    def planted(x):
+        coefficients = exact(x)
+        coefficients[-1] += 1e-6
+        return coefficients
+
+    monkeypatch.setattr(cli, "dct_via_even_dft", planted)
+    check = theorems_failing_only("even_dft_identity", tmp_path, capsys)
+    assert check["worst_error"] == pytest.approx(1e-6, rel=1e-3)
+
+
+def test_theorems_orthogonality_catches_a_planted_row_scale(tmp_path, capsys, monkeypatch):
+    # dct_forward and dct_inverse read spectral's own dct_matrix, so only the
+    # orthogonality check sees this one.
+    exact = cli.dct_matrix
+
+    def planted(length, normalization=spectral.ORTHO):
+        mat = exact(length, normalization).copy()
+        mat[-1] *= 1.0 + 1e-9
+        return mat
+
+    monkeypatch.setattr(cli, "dct_matrix", planted)
+    check = theorems_failing_only("orthogonality", tmp_path, capsys)
+    assert check["worst_error"] == pytest.approx(2e-9, rel=1e-3)
 
 
 def test_theorems_out_of_memory_exits_2_without_outputs(tmp_path, capsys, monkeypatch):

@@ -606,6 +606,12 @@ def test_degenerate_channel_named():
         fit_standardizer(obs)
 
 
+def test_fit_needs_a_nonempty_matrix():
+    for obs in (np.zeros((0, 3)), np.arange(10.0)):
+        with pytest.raises(ValueError, match="nonempty T x C matrix"):
+            fit_standardizer(obs)
+
+
 def test_channel_whose_statistics_overflow_is_named():
     # Every cell is finite, but 1e308 squared is not: the std overflows.
     obs = np.ones((10, 3))

@@ -53,7 +53,7 @@ def test_lowest_coefficient_recovers_gap():
 # --- fecam forward ------------------------------------------------------------------
 
 def test_zero_excitation_fixed_point():
-    layer = zeroed(Excitation(8, reduction=2))
+    layer = zeroed(Excitation(8, reduction=2, rng=np.random.default_rng(0)))
     x = np.random.default_rng(19).normal(size=(2, 3, 8))
     out, att = fecam_forward(x, layer)
     np.testing.assert_array_equal(att, np.full((2, 3, 8), 0.5))
@@ -79,11 +79,11 @@ def test_output_never_amplifies():
 
 def test_layer_construction_validation():
     with pytest.raises(ValueError):
-        Excitation(9, reduction=2)
+        Excitation(9, reduction=2, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        Excitation(0)
+        Excitation(0, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        Excitation(8, reduction=0)
+        Excitation(8, reduction=0, rng=np.random.default_rng(0))
 
 
 def test_layer_is_seed_deterministic():
@@ -107,9 +107,18 @@ def test_zero_upstream_gives_zero_grads():
 
 
 def test_backward_requires_cache():
-    layer = Excitation(8)
+    layer = Excitation(8, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
         fecam_backward(np.ones((1, 1, 8)), layer, {})
+
+
+def test_backward_rejects_upstream_of_another_shape():
+    layer = Excitation(8, rng=np.random.default_rng(0))
+    cache = {}
+    fecam_forward(np.ones((2, 3, 8)), layer, cache)
+    with pytest.raises(ValueError, match=r"upstream shape \(2, 2, 8\) != input shape "
+                                         r"\(2, 3, 8\)"):
+        fecam_backward(np.ones((2, 2, 8)), layer, cache)
 
 
 def test_batch_grads_are_summed_not_averaged():
@@ -249,7 +258,7 @@ def test_forward_sees_in_place_weight_edits():
 
 
 def test_forward_rejects_bad_length_and_non_finite_input():
-    layer = Excitation(8)
+    layer = Excitation(8, rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="batch, channels, length"):
         fecam_forward(np.ones((2, 8)), layer)
     with pytest.raises(ValueError, match="block expects 8"):
@@ -331,9 +340,10 @@ def test_the_fold_runs_in_the_blocks_dtype():
 def test_gathered_batch_enters_the_layer_without_a_copy():
     windows = channel_major_windows(200, 3, 16, seed=81)
     batch = windows[np.random.default_rng(82).permutation(200)[:32]]
-    assert np.shares_memory(_check_input(batch, Excitation(16)), batch)
+    block = Excitation(16, rng=np.random.default_rng(0))
+    assert np.shares_memory(_check_input(batch, block), batch)
     sliced = windows[5:37]
-    assert not np.shares_memory(_check_input(sliced, Excitation(16)), sliced)
+    assert not np.shares_memory(_check_input(sliced, block), sliced)
 
 
 @pytest.mark.parametrize("n_windows", [1, 63, 64, 65, 200])
@@ -364,7 +374,7 @@ def test_mean_attention_matches_an_independent_reference():
 
 
 def test_mean_attention_checks_every_batch():
-    layer = Excitation(16)
+    layer = Excitation(16, rng=np.random.default_rng(0))
     windows = np.array(channel_major_windows(200, 3, 16, seed=84))
     windows[130, 2, 7] = np.nan  # in the third batch of 64
     with pytest.raises(ValueError, match="non-finite"):

@@ -249,6 +249,21 @@ def test_scoring_rejects_targets_that_do_not_pair_with_the_inputs(targets, score
             persistence_report(ds)
 
 
+@pytest.mark.parametrize("score", ["train", "evaluate", "persistence"])
+def test_scoring_and_training_reject_a_dataset_with_no_windows(score):
+    # make_windows refuses a series too short for one window; a dataset built
+    # directly can still hold none.
+    empty = WindowedDataset(np.zeros((0, 2, 4)), np.zeros((0, 2, 4)))
+    model = ForecastModel(4, 4, with_fecam=False)
+    with pytest.raises(ValueError, match="dataset is empty"):
+        if score == "train":
+            train(model, empty, empty, TrainConfig(lookback=4, horizon=4))
+        elif score == "evaluate":
+            evaluate(model, empty)
+        else:
+            persistence_report(empty)
+
+
 def test_step_curve_shape_and_mean():
     train_ds, _, test_ds = tiny_pipeline()
     model = build_model(TrainConfig(lookback=16, horizon=8))
@@ -494,7 +509,7 @@ def test_parameters_live_in_one_flat_vector(with_fecam):
     # Packing happens after the draws, so the values are the unpacked layers'.
     drawn = [DenseLayer(16, 8, np.random.default_rng([6, 0]))]
     if with_fecam:
-        block = Excitation(16, 2, np.random.default_rng([6, 1]))
+        block = Excitation(16, 2, rng=np.random.default_rng([6, 1]))
         drawn += [block.excite1, block.excite2]
     expected = np.concatenate([p.ravel() for p, _ in param_pairs(*drawn)])
     assert values.tobytes() == expected.tobytes()

@@ -69,8 +69,12 @@ def test_dense_shape_errors():
         dense_forward(layer, np.ones((2, 5)))
     with pytest.raises(ValueError):
         dense_backward(layer, np.ones((2, 4)), np.ones((2, 4)))
+    with pytest.raises(ValueError, match="leading axes"):
+        dense_backward(layer, np.ones((3, 3)), np.ones((2, 4)))
+    with pytest.raises(ValueError, match="non-finite"):
+        dense_forward(layer, np.array([[1.0, np.nan, 0.0, 0.0]]))
     with pytest.raises(ValueError):
-        DenseLayer(0, 3)
+        DenseLayer(0, 3, np.random.default_rng(0))
 
 
 def test_dense_grads_accumulate_until_zeroed():
@@ -333,6 +337,8 @@ def test_adam_dimension_mismatch():
     adam_step([np.zeros(2)], [np.zeros(2)], state)
     with pytest.raises(ValueError):
         adam_step([np.zeros(3)], [np.zeros(3)], state)
+    with pytest.raises(ValueError, match="different parameter list"):
+        adam_step([np.zeros(2), np.zeros(2)], [np.zeros(2), np.zeros(2)], state)
 
 
 # --- gradient checker ----------------------------------------------------------------

@@ -61,17 +61,13 @@ def naive_dft(values, sign=-1):
     return phase @ np.asarray(values, complex) / np.sqrt(n)
 
 
-def naive_idct(coeffs, normalization):
-    """x_i = sum_l w_l f_l cos(pi*l*(2i+1)/(2L)), the inverse of each scale."""
+def naive_idct(coeffs):
+    """x_i = sum_l w_l f_l cos(pi*l*(2i+1)/(2L)), the orthonormal inverse."""
     n = len(coeffs)
     k = np.arange(n)
     angle = np.pi * (np.outer(2 * k + 1, k) % (4 * n)) / (2 * n)
-    if normalization == ORTHO:
-        weights = np.full(n, np.sqrt(2.0 / n))
-        weights[0] = np.sqrt(1.0 / n)
-    else:
-        weights = np.full(n, 2.0 / n)
-        weights[0] = 1.0 / n
+    weights = np.full(n, np.sqrt(2.0 / n))
+    weights[0] = np.sqrt(1.0 / n)
     return np.cos(angle) @ (weights * coeffs)
 
 
@@ -135,19 +131,35 @@ def test_forward_rejects_empty_and_nonfinite():
         dct_forward([1.0], "banana")
 
 
-@pytest.mark.parametrize("normalization", [ORTHO, UNNORMALIZED])
+# One scale inverts; the parameter keeps each case's id `[<length>-ortho]`.
+@pytest.mark.parametrize("normalization", [ORTHO])
 @pytest.mark.parametrize("length", PIN_LENGTHS)
 def test_inverse_matches_plain_sum_and_keeps_coefficients(length, normalization):
     rng = np.random.default_rng(length)
     spectrum = Spectrum(rng.normal(size=length) * 10.0, normalization)
     before = spectrum.coefficients.copy()
-    assert_pinned(dct_inverse(spectrum), naive_idct(before, normalization))
+    assert_pinned(dct_inverse(spectrum), naive_idct(before))
     np.testing.assert_array_equal(spectrum.coefficients, before)
 
 
 def test_inverse_of_constant_spectrum():
-    x = dct_inverse(Spectrum([4.0, 0.0, 0.0, 0.0], UNNORMALIZED))
+    # The orthonormal DC coefficient of L ones is sqrt(L) * 1 = 2 at L = 4.
+    x = dct_inverse(Spectrum([2.0, 0.0, 0.0, 0.0], ORTHO))
     np.testing.assert_allclose(x, np.ones(4), atol=1e-12)
+
+
+def test_inverse_refuses_an_unnormalized_spectrum():
+    # Only the orthonormal spectrum is ever inverted; the bare cosine sum is
+    # a forward-only scale, and its tag is named in the refusal.
+    with pytest.raises(ValueError, match="'unnormalized'"):
+        dct_inverse(dct_forward([1.0, 2.0, 3.0], UNNORMALIZED))
+
+
+def test_inverse_rejects_empty_and_nonfinite():
+    with pytest.raises(ValueError, match="nonempty 1-D"):
+        dct_inverse(Spectrum([], ORTHO))
+    with pytest.raises(ValueError, match="non-finite"):
+        dct_inverse(Spectrum([1.0, np.inf], ORTHO))
 
 
 def test_inverse_one_hot_ortho_frozen():
@@ -163,9 +175,8 @@ def test_round_trip_many_signals():
     for _ in range(1000):
         n = int(rng.integers(1, 64))
         x = rng.normal(size=n) * 10
-        for norm in (UNNORMALIZED, ORTHO):
-            back = dct_inverse(dct_forward(x, norm))
-            worst = max(worst, float(np.max(np.abs(back - x))))
+        back = dct_inverse(dct_forward(x, ORTHO))
+        worst = max(worst, float(np.max(np.abs(back - x))))
     assert worst < 1e-9
 
 
@@ -280,6 +291,12 @@ def test_negative_order_rejected():
         fourier_partial_sum(model, -1, 0.1)
 
 
+def test_series_period_must_be_positive():
+    for period in (0.0, -1.0):
+        with pytest.raises(ValueError, match="period must be positive"):
+            FourierSeriesModel(period, 0.0, square_wave_series().coefficients, -1.0, 1.0)
+
+
 def test_partial_sum_is_chunked_without_changing_a_bit():
     # 600 points are two full 256-point chunks plus a ragged tail; the chunks
     # must add the same terms in the same order as one (points x order) product.
@@ -352,6 +369,12 @@ def test_zero_jump_rejected():
     model = square_wave_series(amplitude=0.0)
     with pytest.raises(ValueError):
         gibbs_overshoot(model, 10)
+
+
+def test_overshoot_needs_order_at_least_one():
+    # Order 0 would sample the partial sum at period / 0.
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        gibbs_overshoot(square_wave_series(), 0)
 
 
 def test_gibbs_sweep_rows():
